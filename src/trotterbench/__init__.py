@@ -39,6 +39,7 @@ from .reference_oracle import (
     adaptive_simpson,
     analytic_commuting,
     midpoint_exponential,
+    reference_grid,
     refine_to_tol,
 )
 from .evolution_semigroup import (
@@ -65,7 +66,6 @@ from .bounds_and_rates import (
     beta_sum_scan,
     euler_beta,
     rate_fit,
-    reference_grid,
     sandwiched_defect_constant,
     solve_stability_constant,
     stability_step_threshold,

@@ -13,7 +13,7 @@ from scipy.stats import linregress
 from . import errors
 from .operator_core import SpectralOperator, op_norm
 from .problem_families import TimeDependentFamily
-from .reference_oracle import refine_to_tol
+from .reference_oracle import reference_grid
 from .trotter_products import trotter_left, trotter_right
 
 # Errors at or below this are indistinguishable from round-off.
@@ -173,21 +173,6 @@ def solve_stability_constant(
     return hi
 
 
-def reference_grid(
-    a_op: SpectralOperator,
-    family: TimeDependentFamily,
-    grid_n: int,
-    tol: float,
-) -> dict[tuple[int, int], np.ndarray]:
-    """Reference propagators for every ordered pair of the uniform grid."""
-    ts = np.linspace(0.0, family.horizon, grid_n + 1)
-    refs = {}
-    for j in range(1, len(ts)):
-        for i in range(j):
-            refs[(i, j)] = refine_to_tol(a_op, family, ts[i], ts[j], tol).matrix
-    return refs
-
-
 def sup_error(
     a_op: SpectralOperator,
     family: TimeDependentFamily,
@@ -201,7 +186,7 @@ def sup_error(
 
     Approximates the essential supremum over all 0 <= s < t <= T by the
     maximum over grid pairs; pass a precomputed ``references`` dict (from
-    :func:`reference_grid`) when sweeping n so the oracle runs once per pair.
+    :func:`reference_grid`) when sweeping n so the oracle runs once per grid.
     """
     if n < 1:
         raise errors.InvalidIntervalError("n must be >= 1")

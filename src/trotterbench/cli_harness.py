@@ -42,12 +42,12 @@ from .problem_families import (
 from .bounds_and_rates import (
     beta_sum_scan,
     rate_fit,
-    reference_grid,
     sandwiched_defect_constant,
     solve_stability_constant,
     stability_step_threshold,
     sup_error,
 )
+from .reference_oracle import reference_grid
 from .evolution_semigroup import (
     check_onestep_linear_bound,
     check_power_smoothing,
@@ -333,9 +333,10 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
     onestep_taus = [float(f) * family.horizon for f in onestep_factors]
     sandwich_taus = [2.0 ** (-int(e)) * family.horizon for e in sandwich_exps]
 
+    refs = reference_grid(a_op, family, n_slots, cfg.tol)
     correspondence = []
     for n in cfg.n_list:
-        res = correspondence_check(a_op, family, n_slots, n, cfg.tol)
+        res = correspondence_check(a_op, family, n_slots, n, references=refs)
         correspondence.append(
             {
                 "n": n,
@@ -362,9 +363,9 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
         family.horizon,
         lambda_gamma=smoothing.lambda_left,
     )
-    defects = semigroup_defect_series(a_op, family, n_slots, cfg.n_list, cfg.tol)
+    defects = semigroup_defect_series(a_op, family, n_slots, cfg.n_list, references=refs)
     defects_rev = semigroup_defect_series(
-        a_op, family, n_slots, cfg.n_list, cfg.tol, reversed_product=True
+        a_op, family, n_slots, cfg.n_list, reversed_product=True, references=refs
     )
 
     report = {
@@ -413,6 +414,13 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
     return report, EXIT_OK if ok else EXIT_FAILED
 
 
+def _params(options: dict, key: str, defaults: dict) -> dict:
+    """Nested command parameters, each cast to the type of its default."""
+    given = dict(options.get(key, {}))
+    _require_keys(given, set(defaults), key)
+    return {k: type(v)(given.get(k, v)) for k, v in defaults.items()}
+
+
 def run_bounds(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
     """Scalar bound scan plus spot evaluations of the explicit constants."""
     allowed = {"n_max", "z_params", "m_params", "n0_params"}
@@ -427,27 +435,13 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
             f"{n},{_fmt(alpha)},{_fmt(gamma)},{_fmt(lhs)},{_fmt(rhs)},{_fmt(holds)}"
         )
 
-    zp = dict(cfg.command_options.get("z_params", {}))
-    _require_keys(zp, {"gamma", "beta", "c", "l"}, "z_params")
-    z_args = {
-        "gamma": float(zp.get("gamma", 0.5)),
-        "beta": float(zp.get("beta", 0.5)),
-        "c": float(zp.get("c", 1.0)),
-        "l": float(zp.get("l", 0.0)),
-    }
+    opts = cfg.command_options
+    z_args = _params(opts, "z_params", {"gamma": 0.5, "beta": 0.5, "c": 1.0, "l": 0.0})
     z_value = sandwiched_defect_constant(
         z_args["gamma"], z_args["beta"], z_args["c"], z_args["l"], cfg.horizon
     )
-    mp = dict(cfg.command_options.get("m_params", {}))
-    _require_keys(mp, {"c0", "c1", "c2", "n", "gamma", "alpha"}, "m_params")
-    m_args = {
-        "c0": float(mp.get("c0", 5.0)),
-        "c1": float(mp.get("c1", 0.0)),
-        "c2": float(mp.get("c2", 0.5)),
-        "n": int(mp.get("n", 10)),
-        "gamma": float(mp.get("gamma", 0.5)),
-        "alpha": float(mp.get("alpha", 0.25)),
-    }
+    m_defaults = {"c0": 5.0, "c1": 0.0, "c2": 0.5, "n": 10, "gamma": 0.5, "alpha": 0.25}
+    m_args = _params(opts, "m_params", m_defaults)
     try:
         m_value = solve_stability_constant(**m_args)
         m_status = "ok"
@@ -455,13 +449,7 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
         m_value, m_status = None, "feasibility_violated"
     except errors.InfeasibleError:
         m_value, m_status = None, "infeasible"
-    np_ = dict(cfg.command_options.get("n0_params", {}))
-    _require_keys(np_, {"gamma", "c", "lambda"}, "n0_params")
-    n0_args = {
-        "gamma": float(np_.get("gamma", 0.5)),
-        "c": float(np_.get("c", 0.5)),
-        "lambda": float(np_.get("lambda", 1.0)),
-    }
+    n0_args = _params(opts, "n0_params", {"gamma": 0.5, "c": 0.5, "lambda": 1.0})
     n0_value = stability_step_threshold(
         n0_args["gamma"], n0_args["c"], cfg.horizon, lambda_gamma=n0_args["lambda"]
     )

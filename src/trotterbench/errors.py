@@ -83,3 +83,11 @@ class ContractivityError(TrotterbenchError):
 
 class ConfigError(TrotterbenchError):
     """Experiment configuration is malformed."""
+
+
+class ToleranceFloorError(TrotterbenchError, ValueError):
+    """Requested oracle tolerance lies below the resolvable floor."""
+
+
+class QuadratureDepthError(TrotterbenchError, RuntimeError):
+    """Adaptive quadrature hit its depth limit before reaching tolerance."""

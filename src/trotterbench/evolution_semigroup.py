@@ -29,7 +29,7 @@ from .problem_families import (
     estimate_c_alpha,
     holder_seminorm,
 )
-from .reference_oracle import refine_to_tol
+from .reference_oracle import reference_grid, refine_to_tol
 from .trotter_products import trotter_left
 from .bounds_and_rates import sandwiched_defect_constant
 
@@ -170,6 +170,13 @@ def block_norm(op: BlockShiftOperator) -> float:
     )
 
 
+def _check_product_length(n: int, n_slots: int) -> None:
+    if n < 1 or n_slots % n != 0:
+        raise errors.IndivisibleGridError(
+            f"product length {n} must divide the slot count {n_slots}"
+        )
+
+
 def _slot_width(family: TimeDependentFamily, n_slots: int) -> float:
     if n_slots < 1:
         raise ValueError("need at least one slot")
@@ -230,29 +237,23 @@ def build_U_evo(
     n_slots: int,
     k: int,
     tol: float = 1e-8,
-    cache: dict | None = None,
+    references: dict[tuple[int, int], np.ndarray] | None = None,
 ) -> BlockShiftOperator:
     """Shift-by-k evolution operator: block i carries U(i h, (i-k) h).
 
-    Blocks come from :func:`refine_to_tol`; an optional ``cache`` keyed by
-    slot pairs lets callers share propagators across operators (the map is
-    deterministic, so caching never changes results).
+    Blocks come from ``references``, the :func:`reference_grid` on the slot
+    boundaries (built at ``tol`` when omitted).  Shift 0 gives exact identities.
     """
     if k < 0:
         raise ValueError("shift must be >= 0")
     if k >= n_slots:
         return BlockShiftOperator.zero(n_slots, a_op.dim, k)
-    h = _slot_width(family, n_slots)
+    if k == 0:
+        return BlockShiftOperator.identity(n_slots, a_op.dim)
+    if references is None:
+        references = reference_grid(a_op, family, n_slots, tol)
     blocks = np.zeros((n_slots, a_op.dim, a_op.dim))
-    for i in range(k, n_slots):
-        key = (i - k, i)
-        if cache is not None and key in cache:
-            blocks[i] = cache[key]
-            continue
-        mat = refine_to_tol(a_op, family, (i - k) * h, i * h, tol).matrix
-        if cache is not None:
-            cache[key] = mat
-        blocks[i] = mat
+    blocks[k:] = [references[(i - k, i)] for i in range(k, n_slots)]
     return BlockShiftOperator(k, blocks)
 
 
@@ -268,31 +269,29 @@ def correspondence_check(
     n_slots: int,
     n: int,
     tol: float = 1e-8,
+    references: dict[tuple[int, int], np.ndarray] | None = None,
 ) -> CorrespondenceResult:
     """Semigroup defect versus propagator sup-error on matched slot pairs.
 
     For each representable tau = kappa * h with n | kappa, compares
     ``block_norm(U_evo(kappa) - T(kappa/n)^n)`` against the plain maximum of
     ``|U(t, s) - V_n(t, s)|`` over the matched pairs (i h, (i - kappa) h).
-    The gap between the two maxima is zero up to floating point because the
-    blocks of the split-step power are the Trotter products themselves.
+    Both sides read one reference grid (built at ``tol`` when omitted) and the
+    split power's blocks are the Trotter products, so the gap is round-off.
     """
-    if n < 1 or n_slots % n != 0:
-        raise errors.IndivisibleGridError(
-            f"product length {n} must divide the slot count {n_slots}"
-        )
+    _check_product_length(n, n_slots)
     h = _slot_width(family, n_slots)
-    cache: dict = {}
+    if references is None:
+        references = reference_grid(a_op, family, n_slots, tol)
     semigroup_error = 0.0
     propagator_error = 0.0
     for kappa in range(n, n_slots + 1, n):
-        u_op = build_U_evo(a_op, family, n_slots, kappa, tol, cache)
+        u_op = build_U_evo(a_op, family, n_slots, kappa, references=references)
         t_pow = build_T(a_op, family, n_slots, kappa // n).power(n)
         semigroup_error = max(semigroup_error, block_norm(u_op - t_pow))
         for i in range(kappa, n_slots):
-            u_mat = cache[(i - kappa, i)]
             v_mat = trotter_left(a_op, family, (i - kappa) * h, i * h, n).matrix
-            propagator_error = max(propagator_error, op_norm(u_mat - v_mat))
+            propagator_error = max(propagator_error, op_norm(u_op.blocks[i] - v_mat))
     return CorrespondenceResult(
         semigroup_error, propagator_error, abs(semigroup_error - propagator_error)
     )
@@ -305,20 +304,18 @@ def semigroup_defect_series(
     n_list: list[int],
     tol: float = 1e-8,
     reversed_product: bool = False,
+    references: dict[tuple[int, int], np.ndarray] | None = None,
 ) -> list[tuple[int, float]]:
     """Max semigroup defect per product length, over representable taus."""
     build = build_T_reversed if reversed_product else build_T
-    h = _slot_width(family, n_slots)
-    cache: dict = {}
+    if references is None:
+        references = reference_grid(a_op, family, n_slots, tol)
     out = []
     for n in n_list:
-        if n < 1 or n_slots % n != 0:
-            raise errors.IndivisibleGridError(
-                f"product length {n} must divide the slot count {n_slots}"
-            )
+        _check_product_length(n, n_slots)
         worst = 0.0
         for kappa in range(n, n_slots + 1, n):
-            u_op = build_U_evo(a_op, family, n_slots, kappa, tol, cache)
+            u_op = build_U_evo(a_op, family, n_slots, kappa, references=references)
             t_pow = build(a_op, family, n_slots, kappa // n).power(n)
             worst = max(worst, block_norm(u_op - t_pow))
         out.append((n, worst))
@@ -360,10 +357,10 @@ def measure_smoothing_constant(
 
     def measure(slots: int, ks: list[int]) -> tuple[list, list]:
         h = family.horizon / slots
-        cache: dict = {}
+        refs = reference_grid(a_op, family, slots, tol)
         left, right = [], []
         for k in ks:
-            u_op = build_U_evo(a_op, family, slots, k, tol, cache)
+            u_op = build_U_evo(a_op, family, slots, k, references=refs)
             tau = k * h
             left.append((tau, tau ** gamma * block_norm(u_op.left_multiply(a_pow))))
             right.append((tau, tau ** gamma * block_norm(u_op.right_multiply(a_pow))))
@@ -401,6 +398,34 @@ def _onestep_grids(family: TimeDependentFamily, tau: float, grid_n: int) -> np.n
     return np.linspace(0.0, family.horizon - tau, grid_n + 1)
 
 
+def _onestep_setup(a_op, family, gamma, grid_n):
+    """``A^-gamma`` and the grid constant ``C_gamma`` for a gamma in [alpha, 1)."""
+    if not family.declared_alpha <= gamma < 1.0:
+        raise ValueError(f"gamma must lie in [{family.declared_alpha}, 1), got {gamma!r}")
+    return a_op.frac_power(-gamma), estimate_c_alpha(family, a_op, gamma, max(grid_n, 16))
+
+
+def _worst_defect_ratios(a_op, family, tau_grid, grid_n, oracle_tol, lhs_and_bound):
+    """Per-tau worst ``lhs / bound`` over base points; bounds at the oracle floor give 0 or inf."""
+    floor = max(1e-11, 10.0 * oracle_tol)
+    per_tau = []
+    for tau in tau_grid:
+        worst = 0.0
+        for t in _onestep_grids(family, tau, grid_n):
+            defect = (
+                a_op.semigroup(tau) @ sym_expm_neg(family.sample(t), tau)
+                - refine_to_tol(a_op, family, t, t + tau, oracle_tol).matrix
+            )
+            lhs, denom = lhs_and_bound(tau, defect)
+            if denom <= floor:
+                ratio = 0.0 if lhs <= floor else float("inf")
+            else:
+                ratio = lhs / denom
+            worst = max(worst, ratio)
+        per_tau.append((tau, worst))
+    return per_tau, max((w for _, w in per_tau), default=0.0)
+
+
 def check_onestep_linear_bound(
     a_op: SpectralOperator,
     family: TimeDependentFamily,
@@ -417,35 +442,17 @@ def check_onestep_linear_bound(
     The bound constant uses the grid maximum of ``|B(t) A^-g|`` including all
     tested base points, so the comparison is pointwise sound.
     """
-    if not family.declared_alpha <= gamma < 1.0:
-        raise ValueError(
-            f"gamma must lie in [{family.declared_alpha}, 1), got {gamma!r}"
-        )
-    a_neg = a_op.frac_power(-gamma)
+    a_neg, c_hat = _onestep_setup(a_op, family, gamma, grid_n)
     # the bound constant must dominate |B(t) A^-g| at every tested base point
-    c_hat = estimate_c_alpha(family, a_op, gamma, max(grid_n, 16))
     for tau in tau_grid:
         for t in _onestep_grids(family, tau, grid_n):
             c_hat = max(c_hat, op_norm(family.sample(t) @ a_neg))
-    per_tau = []
-    floor = max(1e-11, 10.0 * oracle_tol)
-    max_ratio = 0.0
-    for tau in tau_grid:
-        worst = 0.0
-        for t in _onestep_grids(family, tau, grid_n):
-            defect = (
-                a_op.semigroup(tau) @ sym_expm_neg(family.sample(t), tau)
-                - refine_to_tol(a_op, family, t, t + tau, oracle_tol).matrix
-            )
-            lhs = max(op_norm(a_neg @ defect), op_norm(defect @ a_neg))
-            denom = 2.0 * c_hat * tau
-            if denom <= floor:
-                ratio = 0.0 if lhs <= floor else float("inf")
-            else:
-                ratio = lhs / denom
-            worst = max(worst, ratio)
-        per_tau.append((tau, worst))
-        max_ratio = max(max_ratio, worst)
+    def lhs_and_bound(tau, d):
+        return max(op_norm(a_neg @ d), op_norm(d @ a_neg)), 2.0 * c_hat * tau
+
+    per_tau, max_ratio = _worst_defect_ratios(
+        a_op, family, tau_grid, grid_n, oracle_tol, lhs_and_bound
+    )
     return OneStepReport(
         gamma=gamma,
         c_gamma=c_hat,
@@ -488,36 +495,18 @@ def check_sandwiched_defect(
     measured ``C_gamma`` and the max-ratio Hoelder seminorm at the declared
     exponent.
     """
-    if not family.declared_alpha <= gamma < 1.0:
-        raise ValueError(
-            f"gamma must lie in [{family.declared_alpha}, 1), got {gamma!r}"
-        )
+    a_neg, c_hat = _onestep_setup(a_op, family, gamma, grid_n)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
-    a_neg = a_op.frac_power(-gamma)
-    c_hat = estimate_c_alpha(family, a_op, gamma, max(grid_n, 16))
     l_plus = holder_seminorm(family, a_op, gamma, beta, holder_grid_n)
     z = sandwiched_defect_constant(gamma, beta, c_hat, l_plus, family.horizon)
     kappa = min(gamma, beta)
-    floor = max(1e-11, 10.0 * oracle_tol)
-    per_tau = []
-    max_ratio = 0.0
-    for tau in tau_grid:
-        worst = 0.0
-        for t in _onestep_grids(family, tau, grid_n):
-            defect = (
-                a_op.semigroup(tau) @ sym_expm_neg(family.sample(t), tau)
-                - refine_to_tol(a_op, family, t, t + tau, oracle_tol).matrix
-            )
-            lhs = op_norm(a_neg @ defect @ a_neg)
-            denom = z * tau ** (1.0 + kappa)
-            if denom <= floor:
-                ratio = 0.0 if lhs <= floor else float("inf")
-            else:
-                ratio = lhs / denom
-            worst = max(worst, ratio)
-        per_tau.append((tau, worst))
-        max_ratio = max(max_ratio, worst)
+    def lhs_and_bound(tau, d):
+        return op_norm(a_neg @ d @ a_neg), z * tau ** (1.0 + kappa)
+
+    per_tau, max_ratio = _worst_defect_ratios(
+        a_op, family, tau_grid, grid_n, oracle_tol, lhs_and_bound
+    )
     return SandwichReport(
         gamma=gamma,
         beta=beta,
@@ -564,10 +553,7 @@ def check_power_smoothing(
     and dominate the interpolated bound at sigma = gamma/2 via operator
     monotonicity (Heinz): (m tau)^s |A^s T^m| <= M^(s/g).
     """
-    if n < 1 or n_slots % n != 0:
-        raise errors.IndivisibleGridError(
-            f"product length {n} must divide the slot count {n_slots}"
-        )
+    _check_product_length(n, n_slots)
     sigma = gamma / 2.0
     a_g = a_op.frac_power(gamma)
     a_s = a_op.frac_power(sigma)

@@ -3,8 +3,9 @@
 The workhorse is the midpoint-exponential product (a second-order Magnus
 step): every factor ``exp(-h C(midpoint))`` is a contraction, so the
 reference can never blow up, and its error is measurable a posteriori by
-step halving.  For scalar families the commuting closed form
-``e^{-(t-s)A} e^{-int b}`` provides an independent cross-check.
+step halving; grids of references compose adjacent-interval refinements
+through the cocycle ``U(t, s) = U(t, r) U(r, s)``.  For scalar families the
+closed form ``e^{-(t-s)A} e^{-int b}`` provides an independent cross-check.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .trotter_products import Propagator, _check_interval
 
 # Step-halving refinement gives up beyond this many midpoint steps.
 REFINEMENT_CAP = 2 ** 20
+TOLERANCE_FLOOR = 1e-12  # finest step-halving tolerance resolvable in double precision
 _START_STEPS = 16
 _CHUNK = 8192
 
@@ -79,7 +81,7 @@ def adaptive_simpson(
         f_mid = np.concatenate([f_lmid[keep], f_rmid[keep]])
         mid = 0.5 * (lo + hi)
         budget = np.concatenate([budget[keep], budget[keep]]) * 0.5
-    raise RuntimeError("adaptive Simpson exceeded maximum refinement depth")
+    raise errors.QuadratureDepthError(f"adaptive Simpson exceeded maximum depth {max_depth}")
 
 
 def analytic_commuting(
@@ -163,8 +165,10 @@ def refine_to_tol(
     criterion stays valid for Hoelder families where the observed order
     degrades below two.
     """
-    if tol < 1e-12:
-        raise ValueError(f"tolerances below 1e-12 are not resolvable, got {tol!r}")
+    if tol < TOLERANCE_FLOOR:
+        raise errors.ToleranceFloorError(
+            f"tolerances below {TOLERANCE_FLOOR!r} are not resolvable, got {tol!r}"
+        )
     _check_interval(family, s, t)
     if t == s:
         return Propagator(
@@ -185,3 +189,31 @@ def refine_to_tol(
                 f"midpoint refinement stuck at defect {diff!r} with {m2} steps"
             )
         m, u_prev = m2, u_next
+
+
+def reference_grid(
+    a_op: SpectralOperator,
+    family: TimeDependentFamily,
+    grid_n: int,
+    tol: float,
+) -> dict[tuple[int, int], np.ndarray]:
+    """References ``U(t_j, t_i)`` for every pair i < j of the uniform grid.
+
+    Refines the ``grid_n`` adjacent intervals to ``tol / grid_n`` each and forms
+    ``U(t_j, t_i) = U(t_j, t_{j-1}) U(t_{j-1}, t_i)``: errors of products of
+    contractions add, so every entry stays within ``tol``.
+    """
+    if grid_n < 1:
+        raise ValueError(f"grid_n must be >= 1, got {grid_n!r}")
+    step_tol = tol / grid_n
+    if step_tol < TOLERANCE_FLOOR:
+        raise errors.ToleranceFloorError(
+            f"per-interval tolerance tol / grid_n = {tol!r} / {grid_n} is below {TOLERANCE_FLOOR}"
+        )
+    ts = np.linspace(0.0, family.horizon, grid_n + 1)
+    refs = {}
+    for j in range(1, grid_n + 1):
+        refs[(j - 1, j)] = refine_to_tol(a_op, family, ts[j - 1], ts[j], step_tol).matrix
+        for i in range(j - 1):
+            refs[(i, j)] = refs[(j - 1, j)] @ refs[(i, j - 1)]
+    return refs

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from trotterbench import cli_harness
 from trotterbench.cli_harness import main
+from trotterbench.reference_oracle import adaptive_simpson
 
 
 def write_config(path, doc):
@@ -203,6 +205,29 @@ class TestCliSurface:
         doc = scalar_config({"kind": "power", "c": 1.0, "beta": 0.05}, tol=1e-12)
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 70
+
+    def test_per_interval_tolerance_floor_exit_code(self, tmp_path, capsys):
+        # tol / N = 1e-11 / 16 lies below the oracle's 1e-12 floor
+        doc = scalar_config(
+            {"kind": "linear", "c": 1.0}, tol=1e-11, n_list=[2, 4], command_options={"N": 16}
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 70
+        err = capsys.readouterr().err
+        assert "grid_n" in err and "16" in err
+        assert "Traceback" not in err
+
+    def test_quadrature_depth_exit_code(self, tmp_path, capsys, monkeypatch):
+        # no command calls adaptive_simpson; a stand-in grid builder raises its depth error
+        def unresolvable_grid(*args):
+            return adaptive_simpson(lambda x: (x > 1.0 / 3.0) * 1.0, 0.0, 1.0, 1e-15, max_depth=2)
+
+        monkeypatch.setattr(cli_harness, "reference_grid", unresolvable_grid)
+        cfg = write_config(tmp_path / "c.json", scalar_config({"kind": "linear", "c": 1.0}))
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 70
+        err = capsys.readouterr().err
+        assert "depth" in err
+        assert "Traceback" not in err
 
     def test_threads_flag_accepted(self, tmp_path):
         doc = {"T": 1.0, "command_options": {"n_max": 10}}

@@ -129,24 +129,35 @@ class TestBuilders:
 
     def test_U_evo_zero_shift_identity(self, a_scalar, linear_family):
         op = tb.build_U_evo(a_scalar, linear_family, 4, 0, 1e-10)
-        assert np.allclose(op.blocks, np.eye(1))
+        assert op.shift == 0
+        assert np.array_equal(op.blocks, np.ones((4, 1, 1)))
 
     def test_U_evo_zero_family_is_U0(self, a_scalar, zero_family):
-        u = tb.build_U_evo(a_scalar, zero_family, 8, 3, 1e-10)
+        refs = tb.reference_grid(a_scalar, zero_family, 8, 1e-10)
         u0 = tb.build_U0(a_scalar, 8, 3, 1.0)
-        assert np.abs(u.blocks - u0.blocks).max() <= 1e-12
+        for u in (
+            tb.build_U_evo(a_scalar, zero_family, 8, 3, 1e-10),
+            tb.build_U_evo(a_scalar, zero_family, 8, 3, references=refs),
+        ):
+            assert np.abs(u.blocks - u0.blocks).max() <= 1e-12
 
     def test_U_evo_semigroup_law(self, a_scalar, linear_family):
         tol = 1e-10
-        u1 = tb.build_U_evo(a_scalar, linear_family, 16, 3, tol)
-        u2 = tb.build_U_evo(a_scalar, linear_family, 16, 5, tol)
-        u12 = tb.build_U_evo(a_scalar, linear_family, 16, 8, tol)
-        assert tb.block_norm(u1.compose(u2) - u12) <= 3.0 * tol
+        refs = tb.reference_grid(a_scalar, linear_family, 16, tol)
+        u1 = tb.build_U_evo(a_scalar, linear_family, 16, 3, references=refs)
+        u2 = tb.build_U_evo(a_scalar, linear_family, 16, 5, references=refs)
+        u12 = tb.build_U_evo(a_scalar, linear_family, 16, 8, references=refs)
+        # blocks of one grid obey the cocycle up to round-off
+        assert tb.block_norm(u1.compose(u2) - u12) <= 1e-12
+        fresh = tb.build_U_evo(a_scalar, linear_family, 16, 8, tol)
+        assert np.array_equal(fresh.blocks, u12.blocks)
 
     def test_U_evo_contractive(self, heat_pair):
         a_op, fam = heat_pair
-        u = tb.build_U_evo(a_op, fam, 8, 2, 1e-8)
-        assert tb.block_norm(u) <= 1.0 + 1e-12
+        refs = tb.reference_grid(a_op, fam, 8, 1e-8)
+        for k in (1, 2, 7):
+            u = tb.build_U_evo(a_op, fam, 8, k, references=refs)
+            assert tb.block_norm(u) <= 1.0 + 1e-12
 
 
 class TestCorrespondence:

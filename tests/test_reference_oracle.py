@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import trotterbench as tb
-from trotterbench import errors
+from trotterbench import errors, reference_oracle
 
 
 def weier_integral(profile, a, b):
@@ -125,8 +128,65 @@ class TestRefineToTol:
             tb.refine_to_tol(a_scalar, rough, 0.0, 1.0, 1e-12)
 
     def test_tolerance_floor(self, a_scalar, linear_family):
-        with pytest.raises(ValueError):
+        with pytest.raises(errors.ToleranceFloorError):
             tb.refine_to_tol(a_scalar, linear_family, 0.0, 1.0, 1e-13)
+
+
+class TestReferenceGrid:
+    @pytest.mark.parametrize("case, grid_n, tol", [("heat", 4, 1e-6), ("sqrt", 8, 1e-10)])
+    def test_entries_match_direct_refinement(self, request, case, grid_n, tol):
+        if case == "heat":
+            a_op, fam = request.getfixturevalue("heat_pair")
+        else:
+            a_op, fam = request.getfixturevalue("a_scalar"), request.getfixturevalue("sqrt_family")
+        refs = tb.reference_grid(a_op, fam, grid_n, tol)
+        assert sorted(refs) == [(i, j) for i in range(grid_n) for j in range(i + 1, grid_n + 1)]
+        ts = np.linspace(0.0, fam.horizon, grid_n + 1)
+        for (i, j), mat in refs.items():
+            direct = tb.refine_to_tol(a_op, fam, ts[i], ts[j], tol).matrix
+            assert tb.op_norm(mat - direct) <= tol
+
+    def test_one_refinement_per_interval(self, monkeypatch, a_scalar, sqrt_family):
+        calls = []
+        refine = reference_oracle.refine_to_tol
+
+        def counted(a_op, fam, s, t, tol):
+            calls.append((s, t, tol))
+            return refine(a_op, fam, s, t, tol)
+
+        monkeypatch.setattr(reference_oracle, "refine_to_tol", counted)
+        refs = tb.reference_grid(a_scalar, sqrt_family, 6, 1e-9)
+        assert len(refs) == 21
+        assert len(calls) == 6
+        assert all(tol == 1e-9 / 6 for _, _, tol in calls)
+
+
+@st.composite
+def psd_problems(draw):
+    """Random generator (spectrum >= 1) and random PSD affine family, dim <= 3."""
+    dim = draw(st.integers(1, 3))
+    entries = st.floats(-1.0, 1.0, allow_nan=False)
+    m0 = draw(arrays(float, (dim, dim), elements=entries))
+    m1 = draw(arrays(float, (dim, dim), elements=entries))
+    spectrum = draw(arrays(float, dim, elements=st.floats(1.0, 5.0)))
+    a_op = tb.diagonalize(np.diag(spectrum), role=tb.GENERATOR_ROLE)
+    c = draw(st.floats(0.0, 2.0))
+    fam = tb.make_synthetic_matrix_family(m0 @ m0.T, m1 @ m1.T, "linear", 1.0, c=c)
+    return a_op, fam
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(problem=psd_problems(), grid_n=st.integers(1, 4), tol=st.sampled_from([1e-6, 1e-8]))
+def test_grid_contraction_cocycle_and_accuracy(problem, grid_n, tol):
+    a_op, fam = problem
+    refs = tb.reference_grid(a_op, fam, grid_n, tol)
+    ts = np.linspace(0.0, fam.horizon, grid_n + 1)
+    for (i, j), mat in refs.items():
+        assert tb.op_norm(mat) <= 1.0 + 1e-12
+        direct = tb.refine_to_tol(a_op, fam, ts[i], ts[j], tol).matrix
+        assert tb.op_norm(mat - direct) <= tol
+        for k in range(j + 1, grid_n + 1):
+            assert tb.op_norm(refs[(i, k)] - refs[(j, k)] @ mat) <= 1e-12
 
 
 def test_reference_contractivity_and_smoothing(heat_pair):
