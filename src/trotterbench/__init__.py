@@ -14,7 +14,6 @@ from .operator_core import (
     SpectralOperator,
     as_symmetric,
     diagonalize,
-    identity_operator,
     op_norm,
     scalar_operator,
     sym_expm_neg,

@@ -234,6 +234,36 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
+def _option(options: dict, key: str, default, valid=None):
+    """Option ``key`` cast to its default's type, per item for lists; ConfigError if malformed."""
+    value = options.get(key, default)
+    try:
+        if isinstance(default, list):
+            value = [type(default[0])(v) for v in value]
+        else:
+            value = type(default)(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise errors.ConfigError(f"option {key}: {exc}") from exc
+    if valid is not None and not valid(value):
+        raise errors.ConfigError(f"option {key} out of range: {value!r}")
+    return value
+
+
+def _params(options: dict, key: str, defaults: dict) -> dict:
+    """Nested command parameters, each cast to the type of its default."""
+    given = options.get(key, {})
+    _require_keys(given, set(defaults), key)
+    return {k: _option(given, k, v) for k, v in defaults.items()}
+
+
+def _evaluate(key: str, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, with a rejected argument reported against option ``key``."""
+    try:
+        return fn(*args, **kwargs)
+    except ValueError as exc:
+        raise errors.ConfigError(f"{key}: {exc}") from exc
+
+
 def run_check(cfg: ExperimentConfig) -> tuple[dict, int]:
     """Assumption check: measured boundedness and Hoelder constants."""
     _require_keys(cfg.command_options, set(), "check options")
@@ -269,7 +299,7 @@ def run_converge(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
     _require_keys(cfg.command_options, {"slope_tolerance"}, "converge options")
     if len(cfg.n_list) < 4:
         raise errors.ConfigError("converge needs n_list with at least 4 entries")
-    slope_tol = float(cfg.command_options.get("slope_tolerance", 0.2))
+    slope_tol = _option(cfg.command_options, "slope_tolerance", 0.2)
     a_op, family = build_problem(cfg)
     refs = reference_grid(a_op, family, cfg.grid_n, cfg.tol)
     rows = []
@@ -316,22 +346,19 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
     """Slotted-space verification: correspondence identity and defect bounds."""
     allowed = {"N", "gamma", "onestep_tau_factors", "sandwich_tau_exponents", "stability_n"}
     _require_keys(cfg.command_options, allowed, "semigroup options")
+    opts = cfg.command_options
     a_op, family = build_problem(cfg)
-    n_slots = int(cfg.command_options.get("N", 16))
-    gamma = float(cfg.command_options.get("gamma", 0.5 * (cfg.alpha + 1.0)))
-    if not family.declared_alpha <= gamma < 1.0:
-        raise errors.ConfigError(
-            f"gamma must lie in [{family.declared_alpha}, 1), got {gamma}"
-        )
+    n_slots = _option(opts, "N", 16, lambda v: v >= 1)
+    gamma = _option(
+        opts, "gamma", 0.5 * (cfg.alpha + 1.0), lambda v: family.declared_alpha <= v < 1.0
+    )
     for n in cfg.n_list:
         if n_slots % n != 0:
             raise errors.IndivisibleGridError(f"N={n_slots} not divisible by n={n}")
-    onestep_factors = cfg.command_options.get(
-        "onestep_tau_factors", [1e-1, 1e-2, 1e-3, 1e-4]
-    )
-    sandwich_exps = cfg.command_options.get("sandwich_tau_exponents", list(range(2, 9)))
-    onestep_taus = [float(f) * family.horizon for f in onestep_factors]
-    sandwich_taus = [2.0 ** (-int(e)) * family.horizon for e in sandwich_exps]
+    onestep_factors = _option(opts, "onestep_tau_factors", [1e-1, 1e-2, 1e-3, 1e-4])
+    sandwich_exps = _option(opts, "sandwich_tau_exponents", list(range(2, 9)))
+    onestep_taus = [f * family.horizon for f in onestep_factors]
+    sandwich_taus = [2.0 ** (-e) * family.horizon for e in sandwich_exps]
 
     refs = reference_grid(a_op, family, n_slots, cfg.tol)
     correspondence = []
@@ -355,7 +382,7 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
         a_op, family, gamma, beta, sandwich_taus, grid_n=cfg.grid_n, oracle_tol=cfg.tol
     )
     smoothing = measure_smoothing_constant(a_op, family, n_slots, gamma, tol=cfg.tol)
-    n_stab = int(cfg.command_options.get("stability_n", max(cfg.n_list)))
+    n_stab = _option(opts, "stability_n", max(cfg.n_list), lambda v: v >= 1)
     stability = check_power_smoothing(a_op, family, gamma, n_stab, n_slots)
     n0 = stability_step_threshold(
         gamma,
@@ -363,7 +390,8 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
         family.horizon,
         lambda_gamma=smoothing.lambda_left,
     )
-    defects = semigroup_defect_series(a_op, family, n_slots, cfg.n_list, references=refs)
+    # the correspondence check already measured the non-reversed defect
+    defects = [(c["n"], c["semigroup_error"]) for c in correspondence]
     defects_rev = semigroup_defect_series(
         a_op, family, n_slots, cfg.n_list, reversed_product=True, references=refs
     )
@@ -414,18 +442,11 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
     return report, EXIT_OK if ok else EXIT_FAILED
 
 
-def _params(options: dict, key: str, defaults: dict) -> dict:
-    """Nested command parameters, each cast to the type of its default."""
-    given = dict(options.get(key, {}))
-    _require_keys(given, set(defaults), key)
-    return {k: type(v)(given.get(k, v)) for k, v in defaults.items()}
-
-
 def run_bounds(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
     """Scalar bound scan plus spot evaluations of the explicit constants."""
     allowed = {"n_max", "z_params", "m_params", "n0_params"}
     _require_keys(cfg.command_options, allowed, "bounds options")
-    n_max = int(cfg.command_options.get("n_max", 2000))
+    n_max = _option(cfg.command_options, "n_max", 2000, lambda v: v >= 2)
     rows = beta_sum_scan(n_max)
     csv_lines = ["n,alpha,gamma,lhs,rhs,holds"]
     all_hold = True
@@ -437,21 +458,22 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
 
     opts = cfg.command_options
     z_args = _params(opts, "z_params", {"gamma": 0.5, "beta": 0.5, "c": 1.0, "l": 0.0})
-    z_value = sandwiched_defect_constant(
-        z_args["gamma"], z_args["beta"], z_args["c"], z_args["l"], cfg.horizon
+    z_value = _evaluate(
+        "z_params", sandwiched_defect_constant, *z_args.values(), cfg.horizon
     )
     m_defaults = {"c0": 5.0, "c1": 0.0, "c2": 0.5, "n": 10, "gamma": 0.5, "alpha": 0.25}
     m_args = _params(opts, "m_params", m_defaults)
     try:
-        m_value = solve_stability_constant(**m_args)
+        m_value = _evaluate("m_params", solve_stability_constant, **m_args)
         m_status = "ok"
     except errors.FeasibilityViolatedError:
         m_value, m_status = None, "feasibility_violated"
     except errors.InfeasibleError:
         m_value, m_status = None, "infeasible"
     n0_args = _params(opts, "n0_params", {"gamma": 0.5, "c": 0.5, "lambda": 1.0})
-    n0_value = stability_step_threshold(
-        n0_args["gamma"], n0_args["c"], cfg.horizon, lambda_gamma=n0_args["lambda"]
+    n0_value = _evaluate(
+        "n0_params", stability_step_threshold, n0_args["gamma"], n0_args["c"], cfg.horizon,
+        lambda_gamma=n0_args["lambda"],
     )
     report = {
         "command": "bounds",

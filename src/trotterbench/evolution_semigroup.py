@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import linregress
 
 from . import errors
 from .operator_core import SpectralOperator, op_norm, sym_expm_neg
@@ -28,6 +27,7 @@ from .problem_families import (
     TimeDependentFamily,
     estimate_c_alpha,
     holder_seminorm,
+    loglog_fit,
 )
 from .reference_oracle import reference_grid, refine_to_tol
 from .trotter_products import trotter_left
@@ -602,5 +602,4 @@ def defect_decay_slope(series: list[tuple[int, float]]) -> float:
     mask = vals > 1e-14
     if mask.sum() < 2:
         return float("inf")  # everything at the floor decays as fast as needed
-    fit = linregress(np.log(ns[mask]), np.log(vals[mask]))
-    return -float(fit.slope)
+    return -loglog_fit(ns[mask], vals[mask])[0]

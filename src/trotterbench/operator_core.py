@@ -123,10 +123,6 @@ def scalar_operator(value: float = 1.0, role: str = GENERATOR_ROLE) -> SpectralO
     return SpectralOperator(np.array([float(value)]), np.eye(1), role=role)
 
 
-def identity_operator(dim: int, role: str = GENERATOR_ROLE) -> SpectralOperator:
-    return SpectralOperator(np.ones(dim), np.eye(dim), role=role)
-
-
 def op_norm(mat) -> float:
     """Spectral norm (largest singular value) of a real matrix."""
     m = np.asarray(mat, dtype=float)

@@ -1,7 +1,7 @@
 """Time-dependent perturbation families with declared regularity.
 
-Built-in families all have the affine form ``B(t) = B_const + w(t) * B_mod``
-with a deterministic scalar profile ``w``: samples are bit-reproducible,
+Every family has the affine form ``B(t) = B_const + w(t) * B_mod`` with a
+deterministic scalar profile ``w``: samples are bit-reproducible,
 symmetric and positive semidefinite, and the declared regularity data
 ``(alpha, beta)`` travel with the family so the measured assumption
 constants can be compared against them.
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import linregress
 
 from . import errors
 from .operator_core import SpectralOperator, GENERATOR_ROLE, as_symmetric, op_norm
@@ -90,7 +89,7 @@ class ScalarProfile:
 
 @dataclass(frozen=True)
 class TimeDependentFamily:
-    """The map t -> B(t) on [0, T] together with its declared regularity.
+    """The map t -> B(t) = b_const + w(t) b_mod on [0, T] with its declared regularity.
 
     ``declared_alpha`` is the fractional-power exponent for which
     ``B(t) A^{-alpha}`` is expected to stay bounded; ``declared_beta`` the
@@ -103,23 +102,13 @@ class TimeDependentFamily:
     declared_alpha: float
     declared_beta: float
     label: str
-    profile: ScalarProfile | None = None
-    b_const: np.ndarray | None = None
-    b_mod: np.ndarray | None = None
-    sampler_fn: Callable[[float], np.ndarray] | None = None
+    profile: ScalarProfile
+    b_const: np.ndarray
+    b_mod: np.ndarray
 
     def __post_init__(self):
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
-        affine = self.b_const is not None and self.b_mod is not None
-        if affine and self.profile is None:
-            raise ValueError("affine families need a scalar profile")
-        if not affine and self.sampler_fn is None:
-            raise ValueError("family needs either affine parts or a sampler")
-
-    @property
-    def is_affine(self) -> bool:
-        return self.b_const is not None
 
     @property
     def is_scalar(self) -> bool:
@@ -136,17 +125,12 @@ class TimeDependentFamily:
 
     def sample(self, t: float) -> np.ndarray:
         t = self._check_time(t)
-        if self.is_affine:
-            return self.b_const + self.profile(t) * self.b_mod
-        return np.asarray(self.sampler_fn(t), dtype=float)
+        return self.b_const + self.profile(t) * self.b_mod
 
     def sample_batch(self, ts) -> np.ndarray:
         """Stack of samples, shape (len(ts), dim, dim)."""
-        ts = np.asarray(ts, dtype=float)
-        if self.is_affine:
-            w = np.asarray(self.profile(ts), dtype=float)
-            return self.b_const[None, :, :] + w[:, None, None] * self.b_mod[None, :, :]
-        return np.stack([self.sample(t) for t in ts])
+        w = self.profile(np.asarray(ts, dtype=float))
+        return self.b_const[None, :, :] + w[:, None, None] * self.b_mod[None, :, :]
 
 
 def make_scalar_family(
@@ -343,6 +327,22 @@ def sandwiched_difference_norms(
     return np.array(norms), np.array(gaps)
 
 
+def loglog_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares line through ``(log x, log y)``: ``(slope, intercept, r2)``.
+
+    r2 is 0 when either centred sum of squares vanishes (the usual
+    regression convention); identical x values raise ``DegenerateGridError``.
+    """
+    lx, ly = np.log(np.asarray(x, dtype=float)), np.log(np.asarray(y, dtype=float))
+    dx, dy = lx - lx.mean(), ly - ly.mean()
+    sxx, syy, sxy = dx @ dx, dy @ dy, dx @ dy
+    if sxx == 0.0:
+        raise errors.DegenerateGridError("cannot fit a line: all x values coincide")
+    r = 0.0 if syy == 0.0 else min(max(sxy / math.sqrt(sxx * syy), -1.0), 1.0)
+    slope = sxy / sxx
+    return float(slope), float(ly.mean() - slope * lx.mean()), float(r * r)
+
+
 def estimate_holder(
     family: TimeDependentFamily,
     a_op: SpectralOperator,
@@ -382,20 +382,15 @@ def estimate_holder(
             alpha_used=alpha,
             degenerate=True,
         )
-    log_gap = np.log(gap_sizes[mask])
-    log_norm = np.log(envelope[mask])
-    if np.ptp(log_gap) == 0.0:
-        raise errors.DegenerateGridError("all usable gaps coincide")
-    fit = linregress(log_gap, log_norm)
-    slope = float(fit.slope)
+    slope, intercept, r2 = loglog_fit(gap_sizes[mask], envelope[mask])
     # at or past the Lipschitz boundary the exponent is a clamp, not a fit
     clipped = slope >= 1.0 - 1e-12
     beta_hat = min(max(slope, np.finfo(float).tiny), 1.0)
     return AssumptionReport(
         c_alpha_hat=c_hat,
-        holder_l_hat=float(np.exp(fit.intercept)),
+        holder_l_hat=float(np.exp(intercept)),
         holder_beta_hat=beta_hat,
-        fit_r2=float(fit.rvalue) ** 2,
+        fit_r2=r2,
         grid_size=grid_n,
         alpha_used=alpha,
         slope_raw=slope,

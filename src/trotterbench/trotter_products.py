@@ -86,43 +86,30 @@ def step_G(
     return a_op.semigroup(tau) @ sym_expm_neg(family.sample(t_node), tau)
 
 
-def trotter_left(
-    a_op: SpectralOperator,
-    family: TimeDependentFamily,
-    s: float,
-    t: float,
-    n: int,
-) -> Propagator:
-    """Left split product over left endpoints; exact identity when t == s."""
+def _split_product(a_op, family, s, t, n, method: str) -> Propagator:
+    """Time-ordered product of split steps; exact identity when t == s."""
     _check_interval(family, s, t)
     part = Partition(s, t, n)
-    if t == s:
-        return Propagator(np.eye(a_op.dim), t=t, s=s, method="trotter_left", n_or_steps=n)
-    tau = part.step
-    ea = a_op.semigroup(tau)
-    nodes = part.nodes
     v = np.eye(a_op.dim)
-    for j in range(n):
-        v = (ea @ sym_expm_neg(family.sample(nodes[j]), tau)) @ v
-    return Propagator(v, t=t, s=s, method="trotter_left", n_or_steps=n)
+    if t != s:
+        tau = part.step
+        ea = a_op.semigroup(tau)
+        right = method == "trotter_right"
+        for node in part.nodes[1:] if right else part.nodes[:-1]:
+            eb = sym_expm_neg(family.sample(node), tau)
+            v = ((eb @ ea) if right else (ea @ eb)) @ v
+    return Propagator(v, t=t, s=s, method=method, n_or_steps=n)
+
+
+def trotter_left(
+    a_op: SpectralOperator, family: TimeDependentFamily, s: float, t: float, n: int
+) -> Propagator:
+    """Left split product ``e^{-tau A} e^{-tau B(t_j)}`` over left endpoints."""
+    return _split_product(a_op, family, s, t, n, "trotter_left")
 
 
 def trotter_right(
-    a_op: SpectralOperator,
-    family: TimeDependentFamily,
-    s: float,
-    t: float,
-    n: int,
+    a_op: SpectralOperator, family: TimeDependentFamily, s: float, t: float, n: int
 ) -> Propagator:
-    """Right split product over right endpoints (factors swapped)."""
-    _check_interval(family, s, t)
-    part = Partition(s, t, n)
-    if t == s:
-        return Propagator(np.eye(a_op.dim), t=t, s=s, method="trotter_right", n_or_steps=n)
-    tau = part.step
-    ea = a_op.semigroup(tau)
-    nodes = part.nodes
-    v = np.eye(a_op.dim)
-    for j in range(1, n + 1):
-        v = (sym_expm_neg(family.sample(nodes[j]), tau) @ ea) @ v
-    return Propagator(v, t=t, s=s, method="trotter_right", n_or_steps=n)
+    """Right split product ``e^{-tau B(t_j)} e^{-tau A}`` over right endpoints."""
+    return _split_product(a_op, family, s, t, n, "trotter_right")

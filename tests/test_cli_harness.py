@@ -1,10 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from trotterbench import cli_harness
 from trotterbench.cli_harness import main
 from trotterbench.reference_oracle import adaptive_simpson
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_config(path, doc):
@@ -47,10 +53,33 @@ class TestConfigValidation:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 64
 
-    def test_alpha_out_of_range(self, tmp_path):
-        doc = scalar_config({"kind": "linear"}, alpha=1.0)
+    @pytest.mark.parametrize(
+        "command, doc, named",
+        [
+            ("check", scalar_config({"kind": "linear"}, alpha=1.0), "alpha"),
+            *(
+                (
+                    "semigroup",
+                    scalar_config({"kind": "linear"}, n_list=[2, 4], command_options={"N": n}),
+                    "option N",
+                )
+                for n in (0, "abc", -4)
+            ),
+            (
+                "converge",
+                scalar_config({"kind": "linear"}, command_options={"slope_tolerance": "x"}),
+                "slope_tolerance",
+            ),
+            ("bounds", {"command_options": {"n_max": 10, "z_params": {"gamma": 1.5}}}, "z_params"),
+        ],
+        ids=["alpha", "N_zero", "N_text", "N_negative", "slope_tolerance_text", "z_gamma"],
+    )
+    def test_bad_value(self, tmp_path, capsys, command, doc, named):
         cfg = write_config(tmp_path / "c.json", doc)
-        assert main(["check", "--config", cfg, "--out", str(tmp_path)]) == 64
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+        err = capsys.readouterr().err
+        assert named in err
+        assert "Traceback" not in err
 
     def test_missing_config_file(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.json")]) == 64
@@ -155,6 +184,31 @@ class TestSemigroupCommand:
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 65
 
+    def test_defect_series_built_once(self, tmp_path, monkeypatch):
+        # the non-reversed series comes from the correspondence check
+        calls = []
+        original = cli_harness.semigroup_defect_series
+
+        def counted(*args, **kwargs):
+            calls.append(kwargs.get("reversed_product", False))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli_harness, "semigroup_defect_series", counted)
+        doc = scalar_config(
+            {"kind": "linear", "c": 1.0},
+            n_list=[2, 4],
+            tol=1e-8,
+            command_options={"N": 8, "gamma": 0.5},
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "o"
+        assert main(["semigroup", "--config", cfg, "--out", str(out)]) == 0
+        assert calls == [True]
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["defect_series"] == [
+            [c["n"], c["semigroup_error"]] for c in report["correspondence"]
+        ]
+
     def test_zero_family(self, tmp_path):
         doc = scalar_config(
             {"kind": "power", "c": 0.0, "beta": 0.5},
@@ -228,6 +282,26 @@ class TestCliSurface:
         err = capsys.readouterr().err
         assert "depth" in err
         assert "Traceback" not in err
+
+    def test_runtime_loads_no_scipy(self, tmp_path):
+        # scipy is a test-only dependency: a fresh CLI run must not import it
+        code = (
+            "import sys\n"
+            "import trotterbench.cli_harness as cli\n"
+            "assert cli.main(['converge', '--config', sys.argv[1], '--out', sys.argv[2]]) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        config = REPO / "tests" / "configs" / "rate_lipschitz_scalar.json"
+        env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-c", code, str(config), str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
     def test_threads_flag_accepted(self, tmp_path):
         doc = {"T": 1.0, "command_options": {"n_max": 10}}

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import linregress
 
 import trotterbench as tb
 from trotterbench import errors
+from trotterbench.problem_families import loglog_fit
 
 
 class TestScalarFamilies:
@@ -166,3 +170,21 @@ def test_remark_monotonicity_all_builtins(a_scalar, zero_family, linear_family,
         l_vals = [tb.holder_seminorm(fam, a_op, a, beta, 16) for a in (0.1, 0.5, 0.9)]
         assert c_vals[1] <= c_vals[0] + 1e-10 and c_vals[2] <= c_vals[1] + 1e-10
         assert l_vals[1] <= l_vals[0] + 1e-10 and l_vals[2] <= l_vals[1] + 1e-10
+
+
+FIT_X = np.array([1.0, 2.0, 4.0, 8.0])
+
+
+@pytest.mark.parametrize(
+    "y, slope, intercept, r2",
+    [(3.0 * FIT_X ** -0.5, -0.5, math.log(3.0), 1.0), (np.full(4, math.e), 0.0, 1.0, 0.0)],
+    ids=["power_law", "constant"],
+)
+def test_loglog_fit(y, slope, intercept, r2):
+    fit = loglog_fit(FIT_X, y)
+    assert fit == pytest.approx((slope, intercept, r2), abs=1e-14)
+    ref = linregress(np.log(FIT_X), np.log(y))
+    assert fit[:2] == pytest.approx((ref.slope, ref.intercept), abs=1e-14)
+    # a flat y has no correlation to report: r2 is 0 where recent scipy gives NaN
+    ref_r2 = 0.0 if np.isnan(ref.rvalue) else ref.rvalue ** 2
+    assert fit[2] == pytest.approx(ref_r2, abs=1e-14)
