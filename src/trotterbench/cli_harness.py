@@ -235,25 +235,24 @@ def _fmt(x) -> str:
 
 
 def _option(options: dict, key: str, default, valid=None):
-    """Option ``key`` cast to its default's type, per item for lists; ConfigError if malformed."""
+    """Option ``key`` cast to its default's type and checked by ``valid``, per item for lists."""
     value = options.get(key, default)
+    items = isinstance(default, list)
     try:
-        if isinstance(default, list):
-            value = [type(default[0])(v) for v in value]
-        else:
-            value = type(default)(value)
+        value = [type(default[0])(v) for v in value] if items else type(default)(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise errors.ConfigError(f"option {key}: {exc}") from exc
-    if valid is not None and not valid(value):
+    if valid is not None and not all(map(valid, value if items else [value])):
         raise errors.ConfigError(f"option {key} out of range: {value!r}")
     return value
 
 
 def _params(options: dict, key: str, defaults: dict) -> dict:
-    """Nested command parameters, each cast to the type of its default."""
+    """Nested command parameters, each cast to the type of its default and named ``key.k``."""
     given = options.get(key, {})
     _require_keys(given, set(defaults), key)
-    return {k: _option(given, k, v) for k, v in defaults.items()}
+    named = {f"{key}.{k}": v for k, v in given.items()}
+    return {k: _option(named, f"{key}.{k}", v) for k, v in defaults.items()}
 
 
 def _evaluate(key: str, fn, *args, **kwargs):
@@ -355,8 +354,10 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
     for n in cfg.n_list:
         if n_slots % n != 0:
             raise errors.IndivisibleGridError(f"N={n_slots} not divisible by n={n}")
-    onestep_factors = _option(opts, "onestep_tau_factors", [1e-1, 1e-2, 1e-3, 1e-4])
-    sandwich_exps = _option(opts, "sandwich_tau_exponents", list(range(2, 9)))
+    onestep_factors = _option(
+        opts, "onestep_tau_factors", [1e-1, 1e-2, 1e-3, 1e-4], lambda f: 0.0 < f <= 1.0
+    )
+    sandwich_exps = _option(opts, "sandwich_tau_exponents", list(range(2, 9)), lambda e: e >= 0)
     onestep_taus = [f * family.horizon for f in onestep_factors]
     sandwich_taus = [2.0 ** (-e) * family.horizon for e in sandwich_exps]
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import errors
-from .operator_core import SpectralOperator, op_norm, sym_expm_neg
+from .operator_core import SpectralOperator, op_norm
 from .problem_families import (
     TimeDependentFamily,
     estimate_c_alpha,
@@ -30,7 +30,7 @@ from .problem_families import (
     loglog_fit,
 )
 from .reference_oracle import reference_grid, refine_to_tol
-from .trotter_products import trotter_left
+from .trotter_products import step_G, trotter_left
 from .bounds_and_rates import sandwiched_defect_constant
 
 __all__ = [
@@ -203,10 +203,7 @@ def build_expB(
 ) -> BlockShiftOperator:
     """Multiplication semigroup: block i is e^{-tau B(i h)} (left endpoints)."""
     h = _slot_width(family, n_slots)
-    blocks = np.stack(
-        [sym_expm_neg(family.sample(i * h), tau) for i in range(n_slots)]
-    )
-    return BlockShiftOperator(0, blocks)
+    return BlockShiftOperator(0, family.factors(np.arange(n_slots) * h, tau))
 
 
 def build_T(
@@ -413,7 +410,7 @@ def _worst_defect_ratios(a_op, family, tau_grid, grid_n, oracle_tol, lhs_and_bou
         worst = 0.0
         for t in _onestep_grids(family, tau, grid_n):
             defect = (
-                a_op.semigroup(tau) @ sym_expm_neg(family.sample(t), tau)
+                step_G(a_op, family, tau, t)
                 - refine_to_tol(a_op, family, t, t + tau, oracle_tol).matrix
             )
             lhs, denom = lhs_and_bound(tau, defect)

@@ -134,15 +134,13 @@ def op_norm(mat) -> float:
 def sym_expm_neg(mat, tau: float) -> np.ndarray:
     """``e^{-tau M}`` for a symmetric matrix M, by eigendecomposition.
 
-    ``tau == 0`` returns the exact identity; one-dimensional input avoids the
-    eigensolver entirely.
+    ``tau == 0`` returns the exact identity.  Split products form their
+    factors through ``TimeDependentFamily.factors``; this is the reference.
     """
     if tau < 0.0:
         raise errors.NegativeTimeError(f"semigroup time must be >= 0, got {tau!r}")
     m = as_symmetric(mat)
     if tau == 0.0:
         return np.eye(m.shape[0])
-    if m.shape[0] == 1:
-        return np.array([[np.exp(-float(tau) * m[0, 0])]])
     lam, q = np.linalg.eigh(m)
     return (q * np.exp(-float(tau) * lam)) @ q.T

@@ -10,7 +10,7 @@ constants can be compared against them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -93,7 +93,8 @@ class TimeDependentFamily:
 
     ``declared_alpha`` is the fractional-power exponent for which
     ``B(t) A^{-alpha}`` is expected to stay bounded; ``declared_beta`` the
-    Hoelder exponent of the sandwiched map.  Samplers are pure and
+    Hoelder exponent of the sandwiched map.  ``b_const`` and ``b_mod`` are
+    validated and symmetrised once, at construction.  Samplers are pure and
     reentrant: equal times give bit-identical matrices.
     """
 
@@ -105,32 +106,76 @@ class TimeDependentFamily:
     profile: ScalarProfile
     b_const: np.ndarray
     b_mod: np.ndarray
+    # (mu, Q) with b_mod = Q diag(mu) Q^T when b_const == 0, else None
+    _mod_eig: tuple | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         if self.horizon <= 0.0:
             raise ValueError("horizon must be positive")
+        for name in ("b_const", "b_mod"):
+            mat = as_symmetric(getattr(self, name))
+            if mat.shape != (self.dim, self.dim):
+                raise ValueError(f"{name} must have shape {(self.dim, self.dim)}, got {mat.shape}")
+            object.__setattr__(self, name, mat)
+        if not self.b_const.any():
+            object.__setattr__(self, "_mod_eig", np.linalg.eigh(self.b_mod))
 
     @property
     def is_scalar(self) -> bool:
         """True when samples act as b(t) * I on a one-dimensional space."""
         return self.dim == 1 and self.label.startswith("scalar")
 
-    def _check_time(self, t: float) -> float:
+    def _check_time(self, t) -> np.ndarray:
+        """Times as an array clamped to [0, T]; outside it (beyond slack) or NaN raises."""
+        ts = np.asarray(t, dtype=float)
         slack = 1e-9 * max(1.0, self.horizon)
-        if t < -slack or t > self.horizon + slack:
+        outside = ~((ts >= -slack) & (ts <= self.horizon + slack))
+        if np.any(outside):
             raise errors.TimeOutOfRangeError(
-                f"t={t!r} outside [0, {self.horizon!r}]"
+                f"t={float(ts[outside][0])!r} outside [0, {self.horizon!r}]"
             )
-        return min(max(float(t), 0.0), self.horizon)
+        return np.clip(ts, 0.0, self.horizon)
 
     def sample(self, t: float) -> np.ndarray:
-        t = self._check_time(t)
-        return self.b_const + self.profile(t) * self.b_mod
+        return self.b_const + self.profile(self._check_time(t)) * self.b_mod
 
     def sample_batch(self, ts) -> np.ndarray:
         """Stack of samples, shape (len(ts), dim, dim)."""
-        w = self.profile(np.asarray(ts, dtype=float))
+        w = self.profile(self._check_time(ts))
         return self.b_const[None, :, :] + w[:, None, None] * self.b_mod[None, :, :]
+
+    def factors(self, ts, tau: float) -> np.ndarray:
+        """Stack of ``e^{-tau B(t)}`` over the times ``ts``; exact identities at ``tau == 0``.
+
+        ``Q diag(e^{-tau w(t) mu}) Q^T`` from ``b_mod = Q diag(mu) Q^T`` when
+        ``b_const == 0``, else one stacked ``eigh`` of the samples.
+        """
+        if tau < 0.0:
+            raise errors.NegativeTimeError(f"semigroup time must be >= 0, got {tau!r}")
+        ts = self._check_time(ts)
+        if tau == 0.0:
+            return np.tile(np.eye(self.dim), (ts.size, 1, 1))
+        if self._mod_eig is not None:
+            mu, q = self._mod_eig
+            lam = np.multiply.outer(self.profile(ts), mu)
+        else:
+            lam, q = np.linalg.eigh(self.sample_batch(ts))
+        return (q * np.exp(-float(tau) * lam)[:, None, :]) @ np.swapaxes(q, -1, -2)
+
+
+def _affine_family(label, b_const, b_mod, declared_alpha, kind, horizon, c, beta, terms):
+    """``b_const + w(t) b_mod`` with a menu profile ``w``, which sets the declared beta."""
+    profile = ScalarProfile(kind, c=c, beta=beta, terms=terms, horizon=horizon)
+    return TimeDependentFamily(
+        horizon=horizon,
+        dim=len(b_mod),
+        declared_alpha=declared_alpha,
+        declared_beta=profile.holder_exponent,
+        label=f"{label}:{kind}",
+        profile=profile,
+        b_const=b_const,
+        b_mod=b_mod,
+    )
 
 
 def make_scalar_family(
@@ -141,24 +186,7 @@ def make_scalar_family(
     terms: int = 12,
 ) -> TimeDependentFamily:
     """Scalar (dim-1) family b(t) from the built-in profile menu."""
-    profile = ScalarProfile(kind, c=c, beta=beta, terms=terms, horizon=horizon)
-    return TimeDependentFamily(
-        horizon=horizon,
-        dim=1,
-        declared_alpha=0.0,
-        declared_beta=profile.holder_exponent,
-        label=f"scalar:{kind}",
-        profile=profile,
-        b_const=np.zeros((1, 1)),
-        b_mod=np.eye(1),
-    )
-
-
-def _check_psd(mat, name: str) -> np.ndarray:
-    m = as_symmetric(mat)
-    if m.shape[0] and float(np.linalg.eigvalsh(m)[0]) < -1e-10:
-        raise errors.NotPSDError(f"{name} has an eigenvalue below -1e-10")
-    return m
+    return _affine_family("scalar", np.zeros((1, 1)), np.eye(1), 0.0, kind, horizon, c, beta, terms)
 
 
 def make_synthetic_matrix_family(
@@ -172,21 +200,11 @@ def make_synthetic_matrix_family(
     declared_alpha: float = 0.0,
 ) -> TimeDependentFamily:
     """Family B(t) = B0 + w(t) B1 with PSD matrices and a menu profile."""
-    b0 = _check_psd(b0, "B0")
-    b1 = _check_psd(b1, "B1")
-    if b0.shape != b1.shape:
-        raise ValueError("B0 and B1 must have matching shape")
-    profile = ScalarProfile(kind, c=c, beta=beta, terms=terms, horizon=horizon)
-    return TimeDependentFamily(
-        horizon=horizon,
-        dim=b0.shape[0],
-        declared_alpha=declared_alpha,
-        declared_beta=profile.holder_exponent,
-        label=f"synthetic:{kind}",
-        profile=profile,
-        b_const=b0,
-        b_mod=b1,
-    )
+    family = _affine_family("synthetic", b0, b1, declared_alpha, kind, horizon, c, beta, terms)
+    for name, mat in (("B0", family.b_const), ("B1", family.b_mod)):
+        if mat.size and float(np.linalg.eigvalsh(mat)[0]) < -1e-10:
+            raise errors.NotPSDError(f"{name} has an eigenvalue below -1e-10")
+    return family
 
 
 def sin_squared_potential(x):
@@ -254,20 +272,10 @@ def make_heat1d_family(
     if float(glam[0]) < -1e-10:
         raise errors.NotPSDError("potential matrix not PSD beyond quadrature tolerance")
     g = (gq * np.clip(glam, 0.0, None)) @ gq.T
-    g = 0.5 * (g + g.T)
 
-    profile = ScalarProfile(kind, c=c, beta=beta, terms=terms, horizon=horizon)
-    family = TimeDependentFamily(
-        horizon=horizon,
-        dim=modes,
-        declared_alpha=declared_alpha,
-        declared_beta=profile.holder_exponent,
-        label=f"heat1d:{kind}",
-        profile=profile,
-        b_const=np.zeros((modes, modes)),
-        b_mod=g,
+    return a_op, _affine_family(
+        "heat1d", np.zeros((modes, modes)), g, declared_alpha, kind, horizon, c, beta, terms
     )
-    return a_op, family
 
 
 @dataclass(frozen=True)

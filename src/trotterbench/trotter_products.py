@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .operator_core import SpectralOperator, op_norm, sym_expm_neg
+from .operator_core import SpectralOperator, op_norm
 from .problem_families import TimeDependentFamily
 
 CONTRACTIVITY_SLACK = 1e-12
@@ -83,7 +83,7 @@ def step_G(
     t_node: float,
 ) -> np.ndarray:
     """Single split step ``e^{-tau A} e^{-tau B(t_node)}``."""
-    return a_op.semigroup(tau) @ sym_expm_neg(family.sample(t_node), tau)
+    return a_op.semigroup(tau) @ family.factors([t_node], tau)[0]
 
 
 def _split_product(a_op, family, s, t, n, method: str) -> Propagator:
@@ -95,9 +95,9 @@ def _split_product(a_op, family, s, t, n, method: str) -> Propagator:
         tau = part.step
         ea = a_op.semigroup(tau)
         right = method == "trotter_right"
-        for node in part.nodes[1:] if right else part.nodes[:-1]:
-            eb = sym_expm_neg(family.sample(node), tau)
-            v = ((eb @ ea) if right else (ea @ eb)) @ v
+        ebs = family.factors(part.nodes[1:] if right else part.nodes[:-1], tau)
+        for g in (ebs @ ea) if right else (ea @ ebs):
+            v = g @ v
     return Propagator(v, t=t, s=s, method=method, n_or_steps=n)
 
 

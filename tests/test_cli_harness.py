@@ -33,6 +33,13 @@ def scalar_config(profile, **overrides):
     return doc
 
 
+def fixture_config(name, **options):
+    """A committed fixture config with ``options`` merged into its command options."""
+    doc = json.loads((REPO / "tests" / "configs" / f"{name}.json").read_text(encoding="utf-8"))
+    doc["command_options"].update(options)
+    return doc
+
+
 class TestConfigValidation:
     def test_unknown_top_level_key(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.json", {"family": None, "bogus": 1})
@@ -71,8 +78,21 @@ class TestConfigValidation:
                 "slope_tolerance",
             ),
             ("bounds", {"command_options": {"n_max": 10, "z_params": {"gamma": 1.5}}}, "z_params"),
+            *(
+                ("semigroup", fixture_config("semigroup_scalar", **{key: value}), key)
+                for key, value in (
+                    ("onestep_tau_factors", [-0.1]),
+                    ("onestep_tau_factors", [2.0]),
+                    ("sandwich_tau_exponents", [-1]),
+                )
+            ),
+            ("bounds", {"command_options": {"n_max": 10, "m_params": {"n": "x"}}}, "m_params.n"),
         ],
-        ids=["alpha", "N_zero", "N_text", "N_negative", "slope_tolerance_text", "z_gamma"],
+        ids=[
+            "alpha", "N_zero", "N_text", "N_negative", "slope_tolerance_text", "z_gamma",
+            "onestep_factor_negative", "onestep_factor_above_one", "sandwich_exponent_negative",
+            "m_params_n_text",
+        ],
     )
     def test_bad_value(self, tmp_path, capsys, command, doc, named):
         cfg = write_config(tmp_path / "c.json", doc)

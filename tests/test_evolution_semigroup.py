@@ -179,6 +179,15 @@ class TestCorrespondence:
         assert res.gap <= 1e-10
         assert res.propagator_error > 1e-3  # genuinely nonzero comparison
 
+    def test_heat1d_gap_is_exact(self, heat_pair):
+        # T(kappa/n)^n blocks and the left products share one factor path
+        a_op, fam = heat_pair
+        refs = tb.reference_grid(a_op, fam, 16, 1e-6)
+        for n in (2, 4, 8):
+            res = tb.correspondence_check(a_op, fam, 16, n, references=refs)
+            assert res.gap == 0.0
+            assert res.propagator_error > 1e-3
+
     def test_indivisible_grid(self, a_scalar, linear_family):
         with pytest.raises(errors.IndivisibleGridError):
             tb.correspondence_check(a_scalar, linear_family, 8, 3, 1e-8)

@@ -42,6 +42,10 @@ class TestScalarFamilies:
             linear_family.sample(1.5)
         with pytest.raises(errors.TimeOutOfRangeError):
             linear_family.sample(-0.2)
+        with pytest.raises(errors.TimeOutOfRangeError):
+            linear_family.factors([0.5, 1.5], 0.1)
+        with pytest.raises(errors.TimeOutOfRangeError):
+            linear_family.factors([np.nan], 0.1)
 
     def test_sampler_deterministic(self, weier_family):
         a = weier_family.sample(0.377)
@@ -72,6 +76,53 @@ class TestSyntheticFamilies:
         expected_l = tb.op_norm(a_neg @ b1 @ a_neg)
         assert rep.holder_l_hat == pytest.approx(expected_l, rel=1e-6)
         assert rep.beta_clipped
+
+
+@pytest.mark.parametrize(
+    "b_const, b_mod, error",
+    [
+        (np.zeros((2, 2)), np.array([[1.0, 0.5], [0.0, 1.0]]), errors.NotSymmetricError),
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), np.eye(2), errors.NonFiniteError),
+    ],
+    ids=["asymmetric_b_mod", "nan_b_const"],
+)
+def test_construction_validates_matrices(b_const, b_mod, error):
+    with pytest.raises(error):
+        tb.TimeDependentFamily(
+            horizon=1.0, dim=2, declared_alpha=0.0, declared_beta=1.0, label="synthetic:linear",
+            profile=tb.ScalarProfile("linear"), b_const=b_const, b_mod=b_mod,
+        )
+
+
+# generator and family fixtures per case; b_const == 0 except for synth_pair
+FACTOR_CASES = {
+    "heat1d": ("heat_pair",),
+    "scalar_power": ("a_scalar", "sqrt_family"),
+    "synthetic_b0": ("synth_pair",),
+}
+
+
+@pytest.mark.parametrize("case", list(FACTOR_CASES))
+def test_factors_match_per_node_exponentials(request, case):
+    got = [request.getfixturevalue(name) for name in FACTOR_CASES[case]]
+    a_op, fam = got[0] if len(got) == 1 else got
+    assert (fam._mod_eig is None) == (case == "synthetic_b0")
+    ts = np.array([0.0, 0.1875, 0.5, 0.9, 1.0])
+    for tau in (0.05, 0.6):
+        for t, eb in zip(ts, fam.factors(ts, tau)):
+            assert np.abs(eb - tb.sym_expm_neg(fam.sample(t), tau)).max() <= 1e-13
+    assert np.array_equal(fam.factors(ts, 0.0), np.tile(np.eye(fam.dim), (ts.size, 1, 1)))
+    # both products against a per-factor loop over the same nodes
+    s, t, n = 0.125, 0.875, 12
+    tau = (t - s) / n
+    nodes = np.linspace(s, t, n + 1)
+    ea = a_op.semigroup(tau)
+    left = right = np.eye(fam.dim)
+    for j in range(n):
+        left = ea @ tb.sym_expm_neg(fam.sample(nodes[j]), tau) @ left
+        right = tb.sym_expm_neg(fam.sample(nodes[j + 1]), tau) @ ea @ right
+    assert np.abs(tb.trotter_left(a_op, fam, s, t, n).matrix - left).max() <= 1e-13
+    assert np.abs(tb.trotter_right(a_op, fam, s, t, n).matrix - right).max() <= 1e-13
 
 
 class TestHeat1d:
