@@ -47,7 +47,7 @@ from .bounds_and_rates import (
     stability_step_threshold,
     sup_error,
 )
-from .reference_oracle import reference_grid
+from .reference_oracle import even_points, reference_grid
 from .evolution_semigroup import (
     check_onestep_linear_bound,
     check_power_smoothing,
@@ -361,7 +361,8 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
     onestep_taus = [f * family.horizon for f in onestep_factors]
     sandwich_taus = [2.0 ** (-e) * family.horizon for e in sandwich_exps]
 
-    refs = reference_grid(a_op, family, n_slots, cfg.tol)
+    fine_refs = reference_grid(a_op, family, 2 * n_slots, cfg.tol)
+    refs = even_points(fine_refs)  # the N-slot grid
     correspondence = []
     for n in cfg.n_list:
         res = correspondence_check(a_op, family, n_slots, n, references=refs)
@@ -382,7 +383,7 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
     sandwich = check_sandwiched_defect(
         a_op, family, gamma, beta, sandwich_taus, grid_n=cfg.grid_n, oracle_tol=cfg.tol
     )
-    smoothing = measure_smoothing_constant(a_op, family, n_slots, gamma, tol=cfg.tol)
+    smoothing = measure_smoothing_constant(a_op, family, n_slots, gamma, references=fine_refs)
     n_stab = _option(opts, "stability_n", max(cfg.n_list), lambda v: v >= 1)
     stability = check_power_smoothing(a_op, family, gamma, n_stab, n_slots)
     n0 = stability_step_threshold(

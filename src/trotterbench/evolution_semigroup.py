@@ -29,7 +29,7 @@ from .problem_families import (
     holder_seminorm,
     loglog_fit,
 )
-from .reference_oracle import reference_grid, refine_to_tol
+from .reference_oracle import even_points, reference_grid, refine_to_tol
 from .trotter_products import step_G, trotter_left
 from .bounds_and_rates import sandwiched_defect_constant
 
@@ -164,10 +164,8 @@ class BlockShiftOperator:
 
 def block_norm(op: BlockShiftOperator) -> float:
     """Operator norm on the slotted space: max over slots of the block norm."""
-    return max(
-        (op_norm(op.blocks[i]) for i in range(min(op.shift, op.n_slots), op.n_slots)),
-        default=0.0,
-    )
+    live = op.blocks[min(op.shift, op.n_slots) :]
+    return op_norm(live) if len(live) else 0.0
 
 
 def _check_product_length(n: int, n_slots: int) -> None:
@@ -340,21 +338,24 @@ def measure_smoothing_constant(
     shifts: list[int] | None = None,
     tol: float = 1e-8,
     doubling_tolerance: float = 0.10,
+    references: dict[tuple[int, int], np.ndarray] | None = None,
 ) -> SmoothingReport:
     """Measure the evolution smoothing constant on a dyadic shift grid.
 
     The quantity ``tau^gamma * block_norm(A^gamma U_evo(tau))`` (and its
     right-sided mirror) is bounded for parabolic problems; the measured
     maximum doubles as the constant fed into the stability threshold.
-    Stability is probed by recomputing on 2N slots at the same taus.
+    Stability is probed on 2N slots at the same taus, from ``references``:
+    the 2N-slot :func:`reference_grid` (built at ``tol`` when omitted).
     """
     if shifts is None:
         shifts = [k for k in (1, 2, 4, 8, 16, 32) if k < n_slots]
     a_pow = a_op.frac_power(gamma)
+    if references is None:
+        references = reference_grid(a_op, family, 2 * n_slots, tol)
 
-    def measure(slots: int, ks: list[int]) -> tuple[list, list]:
+    def measure(slots: int, ks: list[int], refs) -> tuple[list, list]:
         h = family.horizon / slots
-        refs = reference_grid(a_op, family, slots, tol)
         left, right = [], []
         for k in ks:
             u_op = build_U_evo(a_op, family, slots, k, references=refs)
@@ -363,8 +364,8 @@ def measure_smoothing_constant(
             right.append((tau, tau ** gamma * block_norm(u_op.right_multiply(a_pow))))
         return left, right
 
-    left, right = measure(n_slots, shifts)
-    left2, _ = measure(2 * n_slots, [2 * k for k in shifts])
+    left, right = measure(n_slots, shifts, even_points(references))
+    left2, _ = measure(2 * n_slots, [2 * k for k in shifts], references)
     lam_left = max(v for _, v in left)
     lam_right = max(v for _, v in right)
     lam_left2 = max(v for _, v in left2)

@@ -124,11 +124,11 @@ def scalar_operator(value: float = 1.0, role: str = GENERATOR_ROLE) -> SpectralO
 
 
 def op_norm(mat) -> float:
-    """Spectral norm (largest singular value) of a real matrix."""
+    """Spectral norm of a real matrix; of a ``(..., d, d)`` stack, its largest one."""
     m = np.asarray(mat, dtype=float)
     if not np.all(np.isfinite(m)):
         raise errors.NonFiniteError("matrix has non-finite entries")
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False).max())
 
 
 def sym_expm_neg(mat, tau: float) -> np.ndarray:

@@ -120,11 +120,6 @@ class TimeDependentFamily:
         if not self.b_const.any():
             object.__setattr__(self, "_mod_eig", np.linalg.eigh(self.b_mod))
 
-    @property
-    def is_scalar(self) -> bool:
-        """True when samples act as b(t) * I on a one-dimensional space."""
-        return self.dim == 1 and self.label.startswith("scalar")
-
     def _check_time(self, t) -> np.ndarray:
         """Times as an array clamped to [0, T]; outside it (beyond slack) or NaN raises."""
         ts = np.asarray(t, dtype=float)
@@ -322,17 +317,12 @@ def sandwiched_difference_norms(
     alpha: float,
     grid_n: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """All-pairs ``|A^-a (B(t)-B(s)) A^-a|`` and the matching gaps |t-s|."""
+    """All-pairs ``|A^-a (B(t)-B(s)) A^-a| = |w(t)-w(s)| |A^-a b_mod A^-a|`` and gaps |t-s|."""
     ts = _time_grid(family, grid_n)
     a_neg = a_op.frac_power(-alpha)
-    sandwiches = [a_neg @ family.sample(t) @ a_neg for t in ts]
-    gaps = []
-    norms = []
-    for j in range(1, len(ts)):
-        for i in range(j):
-            gaps.append(ts[j] - ts[i])
-            norms.append(op_norm(sandwiches[j] - sandwiches[i]))
-    return np.array(norms), np.array(gaps)
+    w = family.profile(ts)
+    j, i = np.tril_indices(ts.size, -1)
+    return np.abs(w[j] - w[i]) * op_norm(a_neg @ family.b_mod @ a_neg), ts[j] - ts[i]
 
 
 def loglog_fit(x, y) -> tuple[float, float, float]:

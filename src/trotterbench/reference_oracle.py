@@ -90,17 +90,18 @@ def analytic_commuting(
     s: float,
     t: float,
 ) -> Propagator:
-    """Closed form ``e^{-(t-s)A} e^{-int_s^t b}`` for scalar families."""
-    if not family.is_scalar or family.profile is None:
+    """Closed form ``e^{-(t-s)A} e^{-(t-s) b_const - b_mod int_s^t w}`` for dim-1 families."""
+    if family.dim != 1:
         raise errors.NonCommutingFamilyError(
-            f"closed form needs a scalar family, got {family.label!r}"
+            f"closed form needs a one-dimensional family, got dim {family.dim}"
         )
     _check_interval(family, s, t)
     if t == s:
         return Propagator(np.eye(a_op.dim), t=t, s=s, method="analytic", n_or_steps=0)
-    integral = adaptive_simpson(
+    w_integral = adaptive_simpson(
         family.profile, s, t, tol=1e-12, initial_panels=family.profile.suggested_panels
     )
+    integral = (t - s) * family.b_const[0, 0] + w_integral * family.b_mod[0, 0]
     matrix = a_op.semigroup(t - s) * math.exp(-integral)
     return Propagator(matrix, t=t, s=s, method="analytic", n_or_steps=0)
 
@@ -127,8 +128,11 @@ def _midpoint_matrix(
         cs = family.sample_batch(chunk) + a_mat[None, :, :]
         lam, q = np.linalg.eigh(cs)
         mats = (q * np.exp(-h * lam)[:, None, :]) @ np.transpose(q, (0, 2, 1))
-        for i in range(mats.shape[0]):
-            u = mats[i] @ u
+        # time-ordered product mats[-1] @ ... @ mats[0] by pairwise batched matmuls
+        while len(mats) > 1:
+            even = len(mats) - len(mats) % 2
+            mats = np.concatenate([mats[1:even:2] @ mats[0:even:2], mats[even:]])
+        u = mats[0] @ u
     return u
 
 
@@ -217,3 +221,8 @@ def reference_grid(
         for i in range(j - 1):
             refs[(i, j)] = refs[(j - 1, j)] @ refs[(i, j - 1)]
     return refs
+
+
+def even_points(fine: dict[tuple[int, int], np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
+    """The N-slot grid inside a 2N-slot :func:`reference_grid`: ``U(t_j, t_i) = fine[(2i, 2j)]``."""
+    return {(i // 2, j // 2): u for (i, j), u in fine.items() if i % 2 == 0 == j % 2}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from trotterbench import cli_harness
+from trotterbench import cli_harness, reference_oracle
 from trotterbench.cli_harness import main
 from trotterbench.reference_oracle import adaptive_simpson
 
@@ -229,6 +229,28 @@ class TestSemigroupCommand:
             [c["n"], c["semigroup_error"]] for c in report["correspondence"]
         ]
 
+    def test_reference_grid_refined_once(self, tmp_path, monkeypatch):
+        # one 2N-slot grid: each of its 2N adjacent intervals is refined once, at tol / 2N
+        calls = []
+        refine = reference_oracle.refine_to_tol
+
+        def counted(a_op, fam, s, t, tol):
+            calls.append((s, t, tol))
+            return refine(a_op, fam, s, t, tol)
+
+        monkeypatch.setattr(reference_oracle, "refine_to_tol", counted)
+        doc = scalar_config(
+            {"kind": "linear", "c": 1.0},
+            n_list=[2, 4],
+            tol=1e-8,
+            command_options={"N": 8, "gamma": 0.5},
+        )
+        cfg = write_config(tmp_path / "c.json", doc)
+        assert main(["semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+        edges = [k / 16 for k in range(17)]
+        assert [(s, t) for s, t, _ in calls] == list(zip(edges[:-1], edges[1:]))
+        assert all(tol == 1e-8 / 16 for _, _, tol in calls)
+
     def test_zero_family(self, tmp_path):
         doc = scalar_config(
             {"kind": "power", "c": 0.0, "beta": 0.5},
@@ -281,14 +303,14 @@ class TestCliSurface:
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 70
 
     def test_per_interval_tolerance_floor_exit_code(self, tmp_path, capsys):
-        # tol / N = 1e-11 / 16 lies below the oracle's 1e-12 floor
+        # the first grid refined has 2N slots: tol / 2N = 1e-11 / 32 lies below the 1e-12 floor
         doc = scalar_config(
             {"kind": "linear", "c": 1.0}, tol=1e-11, n_list=[2, 4], command_options={"N": 16}
         )
         cfg = write_config(tmp_path / "c.json", doc)
         assert main(["semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 70
         err = capsys.readouterr().err
-        assert "grid_n" in err and "16" in err
+        assert "grid_n" in err and "32" in err
         assert "Traceback" not in err
 
     def test_quadrature_depth_exit_code(self, tmp_path, capsys, monkeypatch):

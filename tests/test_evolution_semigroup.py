@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import trotterbench as tb
-from trotterbench import errors
+from trotterbench import errors, reference_oracle
 from trotterbench.evolution_semigroup import defect_decay_slope
 
 
@@ -48,6 +48,17 @@ class TestBlockShiftOperator:
             op = tb.BlockShiftOperator(shift, blocks)
             assembled = np.linalg.norm(op.to_matrix(), 2)
             assert abs(tb.block_norm(op) - assembled) <= 1e-10 * max(1.0, assembled)
+
+    def test_block_norm_equals_per_block_maximum(self):
+        rng = np.random.default_rng(3)
+        for n_slots, dim, shift in ((8, 4, 0), (16, 3, 5), (4, 2, 3), (4, 2, 4), (4, 2, 9)):
+            blocks = rng.normal(size=(n_slots, dim, dim))
+            blocks[: min(shift, n_slots)] = 0.0
+            op = tb.BlockShiftOperator(shift, blocks)
+            per_block = max(
+                (tb.op_norm(blocks[i]) for i in range(min(shift, n_slots), n_slots)), default=0.0
+            )
+            assert tb.block_norm(op) == per_block
 
     def test_compose_shift_addition(self, a_scalar, linear_family):
         t2 = tb.build_T(a_scalar, linear_family, 8, 2)
@@ -296,3 +307,20 @@ class TestSmoothingConstant:
         )
         assert rep.lambda_left < 20.0 and rep.lambda_right < 20.0
         assert rep.stable
+
+    def test_shared_grid_refines_nothing(self, monkeypatch, heat_pair):
+        a_op, fam = heat_pair
+        fine = tb.reference_grid(a_op, fam, 16, 1e-7)
+        calls = []
+        refine = reference_oracle.refine_to_tol
+
+        def counted(*args):
+            calls.append(args)
+            return refine(*args)
+
+        monkeypatch.setattr(reference_oracle, "refine_to_tol", counted)
+        shared = tb.measure_smoothing_constant(a_op, fam, 8, 0.8, tol=1e-7, references=fine)
+        assert calls == []
+        # omitted, the same 2N-slot grid is built: one refinement per fine interval
+        assert tb.measure_smoothing_constant(a_op, fam, 8, 0.8, tol=1e-7) == shared
+        assert len(calls) == 16

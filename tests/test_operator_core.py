@@ -125,6 +125,13 @@ class TestOpNorm:
         with pytest.raises(errors.NonFiniteError):
             tb.op_norm([[np.inf, 0.0], [0.0, 1.0]])
 
+    def test_stack_gives_largest_norm(self):
+        stack = np.random.default_rng(5).normal(size=(2, 5, 3, 3))
+        assert tb.op_norm(stack) == max(tb.op_norm(m) for m in stack.reshape(10, 3, 3))
+        stack[1, 2, 0, 0] = np.nan
+        with pytest.raises(errors.NonFiniteError):
+            tb.op_norm(stack)
+
 
 def test_smoothing_bound_randomized():
     # |A^g e^{-tau A}| <= tau^-g for nonneg A, any g in [0,1], tau > 0

@@ -6,7 +6,7 @@ from scipy.stats import linregress
 
 import trotterbench as tb
 from trotterbench import errors
-from trotterbench.problem_families import loglog_fit
+from trotterbench.problem_families import loglog_fit, sandwiched_difference_norms
 
 
 class TestScalarFamilies:
@@ -239,3 +239,21 @@ def test_loglog_fit(y, slope, intercept, r2):
     # a flat y has no correlation to report: r2 is 0 where recent scipy gives NaN
     ref_r2 = 0.0 if np.isnan(ref.rvalue) else ref.rvalue ** 2
     assert fit[2] == pytest.approx(ref_r2, abs=1e-14)
+
+
+@pytest.mark.parametrize("case, alpha", [("heat_pair", 0.75), ("synth_pair", 0.5)])
+def test_sandwiched_norms_match_all_pairs(request, case, alpha):
+    a_op, fam = request.getfixturevalue(case)
+    grid_n = 32
+    ts = np.linspace(0.0, fam.horizon, grid_n + 1)
+    a_neg = a_op.frac_power(-alpha)
+    sandwiches = [a_neg @ fam.sample(t) @ a_neg for t in ts]
+    ref_norms, ref_gaps = [], []
+    for j in range(1, len(ts)):
+        for i in range(j):
+            ref_gaps.append(ts[j] - ts[i])
+            ref_norms.append(tb.op_norm(sandwiches[j] - sandwiches[i]))
+    norms, gaps = sandwiched_difference_norms(fam, a_op, alpha, grid_n)
+    assert np.array_equal(gaps, ref_gaps)
+    ref = np.array(ref_norms)
+    assert np.all(np.abs(norms - ref) <= 1e-12 * ref)

@@ -56,6 +56,17 @@ class TestAnalyticCommuting:
         with pytest.raises(errors.NonCommutingFamilyError):
             tb.analytic_commuting(a_op, fam, 0.0, 1.0)
 
+    def test_uses_family_matrices(self, a_scalar):
+        # the exponent carries b_const and b_mod, whatever the label says
+        fam = tb.TimeDependentFamily(
+            horizon=1.0, dim=1, declared_alpha=0.0, declared_beta=1.0, label="scalar:linear",
+            profile=tb.ScalarProfile("linear"), b_const=[[0.3]], b_mod=[[2.0]],
+        )
+        for s, t in ((0.0, 1.0), (0.25, 0.6)):
+            u = tb.analytic_commuting(a_scalar, fam, s, t).matrix
+            ref = tb.refine_to_tol(a_scalar, fam, s, t, 1e-10).matrix
+            assert np.abs(u - ref).max() <= 1e-9
+
 
 class TestMidpointExponential:
     def test_zero_family_any_steps(self, a_diag14):
@@ -132,6 +143,24 @@ class TestRefineToTol:
             tb.refine_to_tol(a_scalar, linear_family, 0.0, 1.0, 1e-13)
 
 
+def sequential_midpoint(a_op, fam, s, t, steps):
+    h = (t - s) / steps
+    u = np.eye(a_op.dim)
+    for k in range(steps):
+        u = tb.sym_expm_neg(a_op.to_matrix() + fam.sample(s + (k + 0.5) * h), h) @ u
+    return u
+
+
+@pytest.mark.parametrize("chunk", [None, 5])
+@pytest.mark.parametrize("steps", [1, 7, 16, 33])
+def test_pairwise_midpoint_product_matches_sequential(monkeypatch, heat_pair, steps, chunk):
+    a_op, fam = heat_pair
+    if chunk is not None:
+        monkeypatch.setattr(reference_oracle, "_CHUNK", chunk)
+    got = tb.midpoint_exponential(a_op, fam, 0.125, 0.875, steps).matrix
+    assert np.abs(got - sequential_midpoint(a_op, fam, 0.125, 0.875, steps)).max() <= 1e-13
+
+
 class TestReferenceGrid:
     @pytest.mark.parametrize("case, grid_n, tol", [("heat", 4, 1e-6), ("sqrt", 8, 1e-10)])
     def test_entries_match_direct_refinement(self, request, case, grid_n, tol):
@@ -159,6 +188,15 @@ class TestReferenceGrid:
         assert len(refs) == 21
         assert len(calls) == 6
         assert all(tol == 1e-9 / 6 for _, _, tol in calls)
+
+    @pytest.mark.parametrize("pair, grid_n, tol", [("heat_pair", 4, 1e-6), ("synth_pair", 4, 1e-8)])
+    def test_even_points_match_direct_grid(self, request, pair, grid_n, tol):
+        a_op, fam = request.getfixturevalue(pair)
+        coarse = reference_oracle.even_points(tb.reference_grid(a_op, fam, 2 * grid_n, tol))
+        direct = tb.reference_grid(a_op, fam, grid_n, tol)
+        assert sorted(coarse) == sorted(direct)
+        for key, mat in coarse.items():
+            assert tb.op_norm(mat - direct[key]) <= tol
 
 
 @st.composite
