@@ -35,7 +35,6 @@ from .problem_families import (
 from .trotter_products import Partition, Propagator, step_G, trotter_left, trotter_right
 from .reference_oracle import (
     REFINEMENT_CAP,
-    adaptive_simpson,
     analytic_commuting,
     midpoint_exponential,
     reference_grid,
@@ -44,7 +43,6 @@ from .reference_oracle import (
 from .evolution_semigroup import (
     BlockShiftOperator,
     CorrespondenceResult,
-    SlottedFunction,
     block_norm,
     build_T,
     build_T_reversed,

@@ -11,7 +11,8 @@ import numpy as np
 from . import errors
 from .operator_core import SpectralOperator, op_norm
 from .problem_families import TimeDependentFamily, loglog_fit
-from .reference_oracle import reference_grid
+# reference_grid is re-exported: bench/tracer.py traces it under this module
+from .reference_oracle import ReferenceGrid, reference_grid  # noqa: F401
 from .trotter_products import trotter_left, trotter_right
 
 # Errors at or below this are indistinguishable from round-off.
@@ -175,33 +176,23 @@ def sup_error(
     a_op: SpectralOperator,
     family: TimeDependentFamily,
     n: int,
-    grid_n: int = 8,
-    tol: float = 1e-10,
+    references: ReferenceGrid,
     variant: str = "left",
-    references: dict[tuple[int, int], np.ndarray] | None = None,
 ) -> float:
     """Triangular-grid maximum of the split-product error at length n.
 
     Approximates the essential supremum over all 0 <= s < t <= T by the
-    maximum over grid pairs; pass a precomputed ``references`` dict (from
-    :func:`reference_grid`) when sweeping n so the oracle runs once per grid.
+    maximum over the pairs of ``references``, a :func:`reference_grid` that
+    a sweep over n builds once.
     """
-    if n < 1:
-        raise errors.InvalidIntervalError("n must be >= 1")
-    if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
     if variant not in ("left", "right"):
         raise ValueError(f"variant must be left or right, got {variant!r}")
-    if references is None:
-        references = reference_grid(a_op, family, grid_n, tol)
     product = trotter_left if variant == "left" else trotter_right
-    ts = np.linspace(0.0, family.horizon, grid_n + 1)
-    worst = 0.0
-    for j in range(1, len(ts)):
-        for i in range(j):
-            v = product(a_op, family, ts[i], ts[j], n).matrix
-            worst = max(worst, op_norm(v - references[(i, j)]))
-    return worst
+    ts = np.linspace(0.0, family.horizon, max(j for _, j in references) + 1)
+    return max(
+        op_norm(product(a_op, family, ts[i], ts[j], n).matrix - u)
+        for (i, j), u in references.items()
+    )
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,6 @@ from .operator_core import (
 from .problem_families import (
     TimeDependentFamily,
     constant_potential,
-    estimate_c_alpha,
     estimate_holder,
     make_heat1d_family,
     make_scalar_family,
@@ -87,6 +87,25 @@ def _require_keys(obj: dict, allowed: set, what: str) -> None:
         raise errors.ConfigError(f"unknown {what} keys: {sorted(unknown)}")
 
 
+def _number(name: str, value, kind):
+    """``value`` as a finite ``float`` or an exact ``int``, else a ``ConfigError`` naming it."""
+    try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
+        out = kind(value)
+        if not math.isfinite(out) or (kind is int and out != float(value)):
+            raise ValueError(f"{value!r} is not a finite {kind.__name__}")
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise errors.ConfigError(f"{name}: {exc}") from exc
+    return out
+
+
+def _numbers(name: str, value, kind) -> list:
+    if not isinstance(value, list):
+        raise errors.ConfigError(f"{name} must be a JSON list, got {value!r}")
+    return [_number(name, v, kind) for v in value]
+
+
 @dataclass
 class ExperimentConfig:
     family_spec: dict | None
@@ -106,7 +125,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     if family_spec is not None:
         _require_keys(family_spec, {"kind"} | set().union(*_FAMILY_KEYS.values()), "family")
         kind = family_spec.get("kind")
-        if kind not in _FAMILY_KEYS:
+        if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
             raise errors.ConfigError(f"family kind must be one of {sorted(_FAMILY_KEYS)}")
         _require_keys(family_spec, _FAMILY_KEYS[kind], "family")
         profile = family_spec.get("profile")
@@ -115,11 +134,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _require_keys(profile, _PROFILE_KEYS, "profile")
         if kind == "heat1d":
             _require_keys(family_spec.get("potential", {}), _POTENTIAL_KEYS, "potential")
-    horizon = float(doc.get("T", 1.0))
-    alpha = float(doc.get("alpha", 0.0))
-    n_list = [int(n) for n in doc.get("n_list", _DEFAULT_N_LIST)]
-    grid_n = int(doc.get("grid_n", 8))
-    tol = float(doc.get("tol", 1e-10))
+    horizon = _number("T", doc.get("T", 1.0), float)
+    alpha = _number("alpha", doc.get("alpha", 0.0), float)
+    n_list = _numbers("n_list", doc.get("n_list", _DEFAULT_N_LIST), int)
+    grid_n = _number("grid_n", doc.get("grid_n", 8), int)
+    tol = _number("tol", doc.get("tol", 1e-10), float)
     if horizon <= 0.0:
         raise errors.ConfigError("T must be positive")
     if not 0.0 <= alpha < 1.0:
@@ -138,7 +157,7 @@ def parse_config(doc: dict) -> ExperimentConfig:
     dim = doc.get("dim")
     return ExperimentConfig(
         family_spec=family_spec,
-        dim=None if dim is None else int(dim),
+        dim=None if dim is None else _number("dim", dim, int),
         horizon=horizon,
         alpha=alpha,
         n_list=n_list,
@@ -150,10 +169,10 @@ def parse_config(doc: dict) -> ExperimentConfig:
 
 def _build_profile_args(profile: dict) -> dict:
     return {
-        "kind": profile["kind"],
-        "c": float(profile.get("c", 1.0)),
-        "beta": float(profile.get("beta", 0.5)),
-        "terms": int(profile.get("terms", 12)),
+        "kind": profile.get("kind"),
+        "c": _number("profile c", profile.get("c", 1.0), float),
+        "beta": _number("profile beta", profile.get("beta", 0.5), float),
+        "terms": _number("profile terms", profile.get("terms", 12), int),
     }
 
 
@@ -164,6 +183,8 @@ def build_problem(cfg: ExperimentConfig) -> tuple[SpectralOperator, TimeDependen
     spec = cfg.family_spec
     kind = spec["kind"]
     prof = _build_profile_args(spec["profile"])
+    alpha_default = 0.75 if kind == "heat1d" else cfg.alpha
+    declared_alpha = _number("declared_alpha", spec.get("declared_alpha", alpha_default), float)
     try:
         if kind == "scalar":
             family = make_scalar_family(horizon=cfg.horizon, **prof)
@@ -173,7 +194,7 @@ def build_problem(cfg: ExperimentConfig) -> tuple[SpectralOperator, TimeDependen
                 np.asarray(spec["b0"], dtype=float),
                 np.asarray(spec["b1"], dtype=float),
                 horizon=cfg.horizon,
-                declared_alpha=float(spec.get("declared_alpha", cfg.alpha)),
+                declared_alpha=declared_alpha,
                 **prof,
             )
             if "a" in spec:
@@ -188,21 +209,22 @@ def build_problem(cfg: ExperimentConfig) -> tuple[SpectralOperator, TimeDependen
             if pot_kind == "sin_squared":
                 potential = sin_squared_potential
             elif pot_kind == "constant":
-                potential = constant_potential(float(pot_spec.get("value", 1.0)))
+                value = _number("potential value", pot_spec.get("value", 1.0), float)
+                potential = constant_potential(value)
             elif pot_kind == "zero":
                 potential = zero_potential
             else:
                 raise errors.ConfigError(f"unknown potential kind {pot_kind!r}")
             a_op, family = make_heat1d_family(
-                int(spec["modes"]),
+                _number("modes", spec.get("modes"), int),
                 potential,
                 horizon=cfg.horizon,
-                declared_alpha=float(spec.get("declared_alpha", 0.75)),
+                declared_alpha=declared_alpha,
                 **prof,
             )
     except errors.ConfigError:
         raise
-    except (errors.TrotterbenchError, ValueError, KeyError, TypeError) as exc:
+    except (errors.TrotterbenchError, ValueError, KeyError, TypeError, OverflowError) as exc:
         raise errors.ConfigError(f"bad family spec: {exc}") from exc
     if cfg.dim is not None and cfg.dim != family.dim:
         raise errors.ConfigError(f"config dim {cfg.dim} != family dim {family.dim}")
@@ -236,12 +258,9 @@ def _fmt(x) -> str:
 
 def _option(options: dict, key: str, default, valid=None):
     """Option ``key`` cast to its default's type and checked by ``valid``, per item for lists."""
-    value = options.get(key, default)
     items = isinstance(default, list)
-    try:
-        value = [type(default[0])(v) for v in value] if items else type(default)(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise errors.ConfigError(f"option {key}: {exc}") from exc
+    kind = type(default[0] if items else default)
+    value = (_numbers if items else _number)(f"option {key}", options.get(key, default), kind)
     if valid is not None and not all(map(valid, value if items else [value])):
         raise errors.ConfigError(f"option {key} out of range: {value!r}")
     return value
@@ -303,8 +322,8 @@ def run_converge(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
     refs = reference_grid(a_op, family, cfg.grid_n, cfg.tol)
     rows = []
     for n in cfg.n_list:
-        left = sup_error(a_op, family, n, cfg.grid_n, cfg.tol, "left", refs)
-        right = sup_error(a_op, family, n, cfg.grid_n, cfg.tol, "right", refs)
+        left = sup_error(a_op, family, n, refs, "left")
+        right = sup_error(a_op, family, n, refs, "right")
         rows.append((n, left, right))
     csv_lines = ["n,sup_error_left,sup_error_right"]
     for n, left, right in rows:
@@ -365,7 +384,7 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
     refs = even_points(fine_refs)  # the N-slot grid
     correspondence = []
     for n in cfg.n_list:
-        res = correspondence_check(a_op, family, n_slots, n, references=refs)
+        res = correspondence_check(a_op, family, n_slots, n, refs)
         correspondence.append(
             {
                 "n": n,
@@ -383,19 +402,17 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
     sandwich = check_sandwiched_defect(
         a_op, family, gamma, beta, sandwich_taus, grid_n=cfg.grid_n, oracle_tol=cfg.tol
     )
-    smoothing = measure_smoothing_constant(a_op, family, n_slots, gamma, references=fine_refs)
+    smoothing = measure_smoothing_constant(a_op, family, n_slots, gamma, fine_refs)
     n_stab = _option(opts, "stability_n", max(cfg.n_list), lambda v: v >= 1)
     stability = check_power_smoothing(a_op, family, gamma, n_stab, n_slots)
+    # the sandwich check's C_gamma is the plain grid maximum of |B(t) A^-gamma|
     n0 = stability_step_threshold(
-        gamma,
-        estimate_c_alpha(family, a_op, gamma, max(cfg.grid_n, 16)),
-        family.horizon,
-        lambda_gamma=smoothing.lambda_left,
+        gamma, sandwich.c_gamma, family.horizon, lambda_gamma=smoothing.lambda_left
     )
     # the correspondence check already measured the non-reversed defect
     defects = [(c["n"], c["semigroup_error"]) for c in correspondence]
     defects_rev = semigroup_defect_series(
-        a_op, family, n_slots, cfg.n_list, reversed_product=True, references=refs
+        a_op, family, n_slots, cfg.n_list, refs, reversed_product=True
     )
 
     report = {

@@ -61,6 +61,10 @@ class IndivisibleGridError(TrotterbenchError):
     """Slot count is not a whole multiple of the product length."""
 
 
+class GridMismatchError(TrotterbenchError):
+    """Reference grid has a different number of intervals than the slotted space."""
+
+
 class TooFewPointsError(TrotterbenchError):
     """Rate fit needs at least four points above the numerical floor."""
 
@@ -87,7 +91,3 @@ class ConfigError(TrotterbenchError):
 
 class ToleranceFloorError(TrotterbenchError, ValueError):
     """Requested oracle tolerance lies below the resolvable floor."""
-
-
-class QuadratureDepthError(TrotterbenchError, RuntimeError):
-    """Adaptive quadrature hit its depth limit before reaching tolerance."""

@@ -1,11 +1,11 @@
 """Discrete evolution-semigroup layer on the slotted space L^2([0,T], R^dim).
 
-Functions of time are stored slot-wise (N slots of width h = T/N); operators
-of interest are block shifts: block i maps slot i-k to slot i through one
-dim x dim matrix.  Because blocks act on disjoint coordinates, the operator
-norm on the slotted space is exactly the maximum block norm, which is what
-ties the semigroup-level defect ``|U(tau) - T(tau/n)^n|`` to the propagator
-sup-error ``sup |U(t,s) - V_n(t,s)|``.
+Time is cut into N slots of width h = T/N; operators of interest are block
+shifts: block i maps slot i-k to slot i through one dim x dim matrix.
+Because blocks act on disjoint coordinates, the operator norm on the
+slotted space is exactly the maximum block norm, which is what ties the
+semigroup-level defect ``|U(tau) - T(tau/n)^n|`` to the propagator sup-error
+``sup |U(t,s) - V_n(t,s)|``.
 
 Slot conventions are chosen so that identity is exact at the discrete level:
 multiplication blocks read B at the slot's left endpoint i*h, and evolution
@@ -29,52 +29,9 @@ from .problem_families import (
     holder_seminorm,
     loglog_fit,
 )
-from .reference_oracle import even_points, reference_grid, refine_to_tol
+from .reference_oracle import ReferenceGrid, even_points, refine_to_tol
 from .trotter_products import step_G, trotter_left
 from .bounds_and_rates import sandwiched_defect_constant
-
-__all__ = [
-    "SlottedFunction",
-    "BlockShiftOperator",
-    "block_norm",
-    "build_U0",
-    "build_expB",
-    "build_T",
-    "build_T_reversed",
-    "build_U_evo",
-    "correspondence_check",
-    "CorrespondenceResult",
-    "measure_smoothing_constant",
-    "SmoothingReport",
-    "check_onestep_linear_bound",
-    "OneStepReport",
-    "check_sandwiched_defect",
-    "SandwichReport",
-    "check_power_smoothing",
-    "PowerSmoothingReport",
-    "semigroup_defect_series",
-]
-
-
-@dataclass(frozen=True)
-class SlottedFunction:
-    """Piecewise-constant element of L^2([0,T], R^dim): one vector per slot."""
-
-    horizon: float
-    slots: np.ndarray  # (N, dim)
-
-    def __post_init__(self):
-        object.__setattr__(self, "slots", np.asarray(self.slots, dtype=float))
-        if self.slots.ndim != 2:
-            raise ValueError("slots must be a (N, dim) array")
-
-    @property
-    def n_slots(self) -> int:
-        return self.slots.shape[0]
-
-    def norm(self) -> float:
-        h = self.horizon / self.n_slots
-        return float(np.sqrt(h * np.sum(self.slots ** 2)))
 
 
 @dataclass(frozen=True)
@@ -115,12 +72,6 @@ class BlockShiftOperator:
         blocks = np.broadcast_to(np.eye(dim), (n_slots, dim, dim)).copy()
         return cls(0, blocks)
 
-    def apply(self, f: SlottedFunction) -> SlottedFunction:
-        out = np.zeros_like(f.slots)
-        for i in range(self.shift, self.n_slots):
-            out[i] = self.blocks[i] @ f.slots[i - self.shift]
-        return SlottedFunction(f.horizon, out)
-
     def compose(self, other: "BlockShiftOperator") -> "BlockShiftOperator":
         """self after other; shifts add, blocks chain along the slot lattice."""
         if self.n_slots != other.n_slots or self.dim != other.dim:
@@ -129,8 +80,7 @@ class BlockShiftOperator:
         if shift >= self.n_slots:
             return BlockShiftOperator.zero(self.n_slots, self.dim, shift)
         blocks = np.zeros_like(self.blocks)
-        for i in range(shift, self.n_slots):
-            blocks[i] = self.blocks[i] @ other.blocks[i - self.shift]
+        blocks[shift:] = self.blocks[shift:] @ other.blocks[other.shift : self.n_slots - self.shift]
         return BlockShiftOperator(shift, blocks)
 
     def power(self, n: int) -> "BlockShiftOperator":
@@ -231,22 +181,24 @@ def build_U_evo(
     family: TimeDependentFamily,
     n_slots: int,
     k: int,
-    tol: float = 1e-8,
-    references: dict[tuple[int, int], np.ndarray] | None = None,
+    references: ReferenceGrid,
 ) -> BlockShiftOperator:
     """Shift-by-k evolution operator: block i carries U(i h, (i-k) h).
 
-    Blocks come from ``references``, the :func:`reference_grid` on the slot
-    boundaries (built at ``tol`` when omitted).  Shift 0 gives exact identities.
+    Blocks come from ``references``, the :func:`reference_grid` on the
+    ``n_slots`` slot boundaries.  Shift 0 gives exact identities.
     """
+    if (n_slots - 1, n_slots) not in references or (n_slots, n_slots + 1) in references:
+        raise errors.GridMismatchError(
+            f"{n_slots} slots need a {n_slots}-interval reference grid, "
+            f"got {max((j for _, j in references), default=0)} intervals"
+        )
     if k < 0:
         raise ValueError("shift must be >= 0")
     if k >= n_slots:
         return BlockShiftOperator.zero(n_slots, a_op.dim, k)
     if k == 0:
         return BlockShiftOperator.identity(n_slots, a_op.dim)
-    if references is None:
-        references = reference_grid(a_op, family, n_slots, tol)
     blocks = np.zeros((n_slots, a_op.dim, a_op.dim))
     blocks[k:] = [references[(i - k, i)] for i in range(k, n_slots)]
     return BlockShiftOperator(k, blocks)
@@ -263,30 +215,24 @@ def correspondence_check(
     family: TimeDependentFamily,
     n_slots: int,
     n: int,
-    tol: float = 1e-8,
-    references: dict[tuple[int, int], np.ndarray] | None = None,
+    references: ReferenceGrid,
 ) -> CorrespondenceResult:
     """Semigroup defect versus propagator sup-error on matched slot pairs.
 
     For each representable tau = kappa * h with n | kappa, compares
     ``block_norm(U_evo(kappa) - T(kappa/n)^n)`` against the plain maximum of
     ``|U(t, s) - V_n(t, s)|`` over the matched pairs (i h, (i - kappa) h).
-    Both sides read one reference grid (built at ``tol`` when omitted) and the
-    split power's blocks are the Trotter products, so the gap is round-off.
+    Both sides read the one N-slot reference grid and the split power's
+    blocks are the Trotter products, so the gap is round-off.
     """
-    _check_product_length(n, n_slots)
+    [(_, semigroup_error)] = semigroup_defect_series(a_op, family, n_slots, [n], references)
     h = _slot_width(family, n_slots)
-    if references is None:
-        references = reference_grid(a_op, family, n_slots, tol)
-    semigroup_error = 0.0
     propagator_error = 0.0
     for kappa in range(n, n_slots + 1, n):
-        u_op = build_U_evo(a_op, family, n_slots, kappa, references=references)
-        t_pow = build_T(a_op, family, n_slots, kappa // n).power(n)
-        semigroup_error = max(semigroup_error, block_norm(u_op - t_pow))
         for i in range(kappa, n_slots):
             v_mat = trotter_left(a_op, family, (i - kappa) * h, i * h, n).matrix
-            propagator_error = max(propagator_error, op_norm(u_op.blocks[i] - v_mat))
+            u_mat = references[(i - kappa, i)]
+            propagator_error = max(propagator_error, op_norm(u_mat - v_mat))
     return CorrespondenceResult(
         semigroup_error, propagator_error, abs(semigroup_error - propagator_error)
     )
@@ -297,20 +243,17 @@ def semigroup_defect_series(
     family: TimeDependentFamily,
     n_slots: int,
     n_list: list[int],
-    tol: float = 1e-8,
+    references: ReferenceGrid,
     reversed_product: bool = False,
-    references: dict[tuple[int, int], np.ndarray] | None = None,
 ) -> list[tuple[int, float]]:
     """Max semigroup defect per product length, over representable taus."""
     build = build_T_reversed if reversed_product else build_T
-    if references is None:
-        references = reference_grid(a_op, family, n_slots, tol)
     out = []
     for n in n_list:
         _check_product_length(n, n_slots)
         worst = 0.0
         for kappa in range(n, n_slots + 1, n):
-            u_op = build_U_evo(a_op, family, n_slots, kappa, references=references)
+            u_op = build_U_evo(a_op, family, n_slots, kappa, references)
             t_pow = build(a_op, family, n_slots, kappa // n).power(n)
             worst = max(worst, block_norm(u_op - t_pow))
         out.append((n, worst))
@@ -335,10 +278,9 @@ def measure_smoothing_constant(
     family: TimeDependentFamily,
     n_slots: int,
     gamma: float,
+    references: ReferenceGrid,
     shifts: list[int] | None = None,
-    tol: float = 1e-8,
     doubling_tolerance: float = 0.10,
-    references: dict[tuple[int, int], np.ndarray] | None = None,
 ) -> SmoothingReport:
     """Measure the evolution smoothing constant on a dyadic shift grid.
 
@@ -346,19 +288,17 @@ def measure_smoothing_constant(
     right-sided mirror) is bounded for parabolic problems; the measured
     maximum doubles as the constant fed into the stability threshold.
     Stability is probed on 2N slots at the same taus, from ``references``:
-    the 2N-slot :func:`reference_grid` (built at ``tol`` when omitted).
+    the 2N-slot :func:`reference_grid`.
     """
     if shifts is None:
         shifts = [k for k in (1, 2, 4, 8, 16, 32) if k < n_slots]
     a_pow = a_op.frac_power(gamma)
-    if references is None:
-        references = reference_grid(a_op, family, 2 * n_slots, tol)
 
     def measure(slots: int, ks: list[int], refs) -> tuple[list, list]:
         h = family.horizon / slots
         left, right = [], []
         for k in ks:
-            u_op = build_U_evo(a_op, family, slots, k, references=refs)
+            u_op = build_U_evo(a_op, family, slots, k, refs)
             tau = k * h
             left.append((tau, tau ** gamma * block_norm(u_op.left_multiply(a_pow))))
             right.append((tau, tau ** gamma * block_norm(u_op.right_multiply(a_pow))))
@@ -442,9 +382,9 @@ def check_onestep_linear_bound(
     """
     a_neg, c_hat = _onestep_setup(a_op, family, gamma, grid_n)
     # the bound constant must dominate |B(t) A^-g| at every tested base point
-    for tau in tau_grid:
-        for t in _onestep_grids(family, tau, grid_n):
-            c_hat = max(c_hat, op_norm(family.sample(t) @ a_neg))
+    if tau_grid:
+        ts = np.concatenate([_onestep_grids(family, tau, grid_n) for tau in tau_grid])
+        c_hat = max(c_hat, op_norm(family.sample_batch(ts) @ a_neg))
     def lhs_and_bound(tau, d):
         return max(op_norm(a_neg @ d), op_norm(d @ a_neg)), 2.0 * c_hat * tau
 

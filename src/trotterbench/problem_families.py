@@ -64,12 +64,17 @@ class ScalarProfile:
     def holder_exponent(self) -> float:
         return 1.0 if self.kind == "linear" else float(self.beta)
 
-    @property
-    def suggested_panels(self) -> int:
-        """Initial quadrature panels resolving the fastest oscillation."""
-        if self.kind == "weierstrass":
-            return int(min(2 ** (self.terms + 2), 2 ** 16))
-        return 64
+    def integral(self, s: float, t: float) -> float:
+        """Exact ``int_s^t w``, term by term for the Weierstrass sum."""
+        if self.kind == "power":
+            p = self.beta + 1.0
+            return self.c * (t ** p - s ** p) / p
+        if self.kind == "linear":
+            return self.c * (t * t - s * s) / 2.0
+        k = np.arange(self.terms + 1)
+        omega = 2.0 ** k * (np.pi / self.horizon)
+        parts = (t - s) + (np.sin(omega * t) - np.sin(omega * s)) / omega
+        return self.c * float(2.0 ** (-self.beta * k) @ parts)
 
     def __call__(self, t):
         ts = np.asarray(t, dtype=float)
@@ -307,8 +312,7 @@ def estimate_c_alpha(
         raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
     if grid_n < 2:
         raise ValueError("grid_n must be >= 2")
-    a_neg = a_op.frac_power(-alpha)
-    return max(op_norm(family.sample(t) @ a_neg) for t in _time_grid(family, grid_n))
+    return op_norm(family.sample_batch(_time_grid(family, grid_n)) @ a_op.frac_power(-alpha))
 
 
 def sandwiched_difference_norms(

@@ -25,63 +25,8 @@ TOLERANCE_FLOOR = 1e-12  # finest step-halving tolerance resolvable in double pr
 _START_STEPS = 16
 _CHUNK = 8192
 
-
-def adaptive_simpson(
-    f,
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    initial_panels: int = 64,
-    max_depth: int = 64,
-) -> float:
-    """Adaptive composite Simpson quadrature to absolute tolerance ``tol``.
-
-    ``f`` must accept numpy arrays.  The interval starts pre-split into
-    ``initial_panels`` panels so oscillatory integrands cannot fool the
-    refinement test by aliasing; panels then bisect independently with the
-    usual 15x Richardson acceptance, each carrying half its parent's budget.
-    Panels that shrink below ~1e-14 of the interval are accepted as is:
-    for bounded integrands (integrable endpoint singularities included)
-    their residual is far below any resolvable tolerance.
-    """
-    if b == a:
-        return 0.0
-    if b < a:
-        return -adaptive_simpson(f, b, a, tol, initial_panels, max_depth)
-    width_floor = 1e-14 * (b - a)
-    edges = np.linspace(a, b, initial_panels + 1)
-    lo = edges[:-1].copy()
-    hi = edges[1:].copy()
-    f_lo = np.asarray(f(lo), dtype=float)
-    f_hi = np.asarray(f(hi), dtype=float)
-    mid = 0.5 * (lo + hi)
-    f_mid = np.asarray(f(mid), dtype=float)
-    budget = np.full(lo.shape, tol / initial_panels)
-    total = 0.0
-    for _ in range(max_depth):
-        h = hi - lo
-        s1 = h / 6.0 * (f_lo + 4.0 * f_mid + f_hi)
-        lmid = 0.5 * (lo + mid)
-        rmid = 0.5 * (mid + hi)
-        f_lmid = np.asarray(f(lmid), dtype=float)
-        f_rmid = np.asarray(f(rmid), dtype=float)
-        s_left = (mid - lo) / 6.0 * (f_lo + 4.0 * f_lmid + f_mid)
-        s_right = (hi - mid) / 6.0 * (f_mid + 4.0 * f_rmid + f_hi)
-        s2 = s_left + s_right
-        done = (np.abs(s2 - s1) <= 15.0 * budget) | (h <= width_floor)
-        total += float(np.sum((s2 + (s2 - s1) / 15.0)[done]))
-        if np.all(done):
-            return total
-        keep = ~done
-        # each kept panel splits into its two halves with half the budget
-        lo = np.concatenate([lo[keep], mid[keep]])
-        hi = np.concatenate([mid[keep], hi[keep]])
-        f_lo = np.concatenate([f_lo[keep], f_mid[keep]])
-        f_hi = np.concatenate([f_mid[keep], f_hi[keep]])
-        f_mid = np.concatenate([f_lmid[keep], f_rmid[keep]])
-        mid = 0.5 * (lo + hi)
-        budget = np.concatenate([budget[keep], budget[keep]]) * 0.5
-    raise errors.QuadratureDepthError(f"adaptive Simpson exceeded maximum depth {max_depth}")
+# References U(t_j, t_i) on a uniform grid, keyed by the index pair (i, j), i < j.
+ReferenceGrid = dict[tuple[int, int], np.ndarray]
 
 
 def analytic_commuting(
@@ -98,10 +43,7 @@ def analytic_commuting(
     _check_interval(family, s, t)
     if t == s:
         return Propagator(np.eye(a_op.dim), t=t, s=s, method="analytic", n_or_steps=0)
-    w_integral = adaptive_simpson(
-        family.profile, s, t, tol=1e-12, initial_panels=family.profile.suggested_panels
-    )
-    integral = (t - s) * family.b_const[0, 0] + w_integral * family.b_mod[0, 0]
+    integral = (t - s) * family.b_const[0, 0] + family.profile.integral(s, t) * family.b_mod[0, 0]
     matrix = a_op.semigroup(t - s) * math.exp(-integral)
     return Propagator(matrix, t=t, s=s, method="analytic", n_or_steps=0)
 
@@ -200,7 +142,7 @@ def reference_grid(
     family: TimeDependentFamily,
     grid_n: int,
     tol: float,
-) -> dict[tuple[int, int], np.ndarray]:
+) -> ReferenceGrid:
     """References ``U(t_j, t_i)`` for every pair i < j of the uniform grid.
 
     Refines the ``grid_n`` adjacent intervals to ``tol / grid_n`` each and forms
@@ -223,6 +165,6 @@ def reference_grid(
     return refs
 
 
-def even_points(fine: dict[tuple[int, int], np.ndarray]) -> dict[tuple[int, int], np.ndarray]:
+def even_points(fine: ReferenceGrid) -> ReferenceGrid:
     """The N-slot grid inside a 2N-slot :func:`reference_grid`: ``U(t_j, t_i) = fine[(2i, 2j)]``."""
     return {(i // 2, j // 2): u for (i, j), u in fine.items() if i % 2 == 0 == j % 2}

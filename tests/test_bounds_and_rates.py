@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from trotterbench import errors
+from trotterbench import errors, op_norm, trotter_left, trotter_right
 from trotterbench.bounds_and_rates import (
     beta_sum_bound,
     beta_sum_scan,
@@ -148,12 +149,14 @@ class TestRateFit:
 
 class TestSupError:
     def test_zero_family(self, a_scalar, zero_family):
+        refs = reference_grid(a_scalar, zero_family, 4, 1e-10)
         for n in (1, 4, 32):
-            assert sup_error(a_scalar, zero_family, n, 4, 1e-10) <= 1e-13
+            assert sup_error(a_scalar, zero_family, n, refs) <= 1e-13
 
     def test_scalar_candidates(self, a_scalar, linear_family):
         # grid {0, 1/2, 1}: the (0, 1) pair dominates
-        got = sup_error(a_scalar, linear_family, 2, grid_n=2, tol=1e-10)
+        refs = reference_grid(a_scalar, linear_family, 2, 1e-10)
+        got = sup_error(a_scalar, linear_family, 2, refs)
         candidates = [
             abs(math.exp(-0.5625) - math.exp(-0.625)),   # (0, 1/2)
             abs(math.exp(-1.25) - math.exp(-1.5)),       # (0, 1)
@@ -164,15 +167,30 @@ class TestSupError:
     def test_shared_references_match_fresh(self, a_scalar, sqrt_family):
         refs = reference_grid(a_scalar, sqrt_family, 4, 1e-10)
         for n in (2, 8):
-            with_refs = sup_error(a_scalar, sqrt_family, n, 4, 1e-10, "left", refs)
-            fresh = sup_error(a_scalar, sqrt_family, n, 4, 1e-10, "left")
+            with_refs = sup_error(a_scalar, sqrt_family, n, refs, "left")
+            fresh_refs = reference_grid(a_scalar, sqrt_family, 4, 1e-10)
+            fresh = sup_error(a_scalar, sqrt_family, n, fresh_refs, "left")
             assert with_refs == fresh
+
+    @pytest.mark.parametrize("variant", ["left", "right"])
+    def test_explicit_pairwise_maximum(self, synth_pair, variant):
+        # the grid size comes from the references: every pair of a 5-interval grid
+        a_op, fam = synth_pair
+        refs = reference_grid(a_op, fam, 5, 1e-8)
+        product = trotter_left if variant == "left" else trotter_right
+        ts = np.linspace(0.0, fam.horizon, 6)
+        expected = max(
+            op_norm(product(a_op, fam, ts[i], ts[j], 3).matrix - refs[(i, j)])
+            for j in range(1, 6)
+            for i in range(j)
+        )
+        assert sup_error(a_op, fam, 3, refs, variant) == expected
 
     def test_variants_share_rate(self, a_scalar, weier_family):
         refs = reference_grid(a_scalar, weier_family, 4, 1e-10)
         ns = (2, 4, 8, 16, 32, 64)
-        left = [(n, sup_error(a_scalar, weier_family, n, 4, 1e-10, "left", refs)) for n in ns]
-        right = [(n, sup_error(a_scalar, weier_family, n, 4, 1e-10, "right", refs)) for n in ns]
+        left = [(n, sup_error(a_scalar, weier_family, n, refs, "left")) for n in ns]
+        right = [(n, sup_error(a_scalar, weier_family, n, refs, "right")) for n in ns]
         sl = rate_fit(left, 0.0, 0.5).fitted_slope
         sr = rate_fit(right, 0.0, 0.5).fitted_slope
         assert sl >= 0.3 and sr >= 0.3

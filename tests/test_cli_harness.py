@@ -5,10 +5,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from trotterbench import cli_harness, reference_oracle
-from trotterbench.cli_harness import main
-from trotterbench.reference_oracle import adaptive_simpson
+from trotterbench import cli_harness, errors, reference_oracle
+from trotterbench.cli_harness import build_problem, main, parse_config
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -37,6 +38,70 @@ def fixture_config(name, **options):
     """A committed fixture config with ``options`` merged into its command options."""
     doc = json.loads((REPO / "tests" / "configs" / f"{name}.json").read_text(encoding="utf-8"))
     doc["command_options"].update(options)
+    return doc
+
+
+# Arbitrary JSON, kept small
+_JSON = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-3, 12),
+        st.just(10 ** 400),
+        st.floats(-4.0, 4.0),
+        st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+        st.sampled_from(["", "x", "8", "0.5", "linear"]),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def config_docs(draw):
+    """A valid config document, or one with a single value replaced by arbitrary JSON.
+
+    Sizes stay small (modes and terms at most 8), so that building a valid
+    family costs milliseconds.
+    """
+    count, real = st.integers(0, 8), st.floats(0.0, 1.0)
+    matrix = st.lists(st.lists(real, min_size=1, max_size=3), min_size=1, max_size=3)
+    kind = draw(st.sampled_from(sorted(cli_harness._FAMILY_KEYS)))
+    profile = st.fixed_dictionaries(
+        {"kind": st.sampled_from(["power", "linear", "weierstrass"])},
+        optional={"c": real, "beta": real, "terms": count},
+    )
+    potential = st.fixed_dictionaries(
+        {}, optional={"kind": st.sampled_from(["sin_squared", "constant", "zero"]), "value": real}
+    )
+    family_fields = {
+        "potential": potential, "modes": count, "declared_alpha": real,
+        "b0": matrix, "b1": matrix, "a": matrix,
+    }
+    family = st.fixed_dictionaries(
+        {"kind": st.just(kind), "profile": profile},
+        optional={k: v for k, v in family_fields.items() if k in cli_harness._FAMILY_KEYS[kind]},
+    )
+    doc = draw(
+        st.fixed_dictionaries(
+            {"family": family},
+            optional={
+                "dim": count,
+                "T": st.floats(0.1, 2.0),
+                "alpha": st.floats(0.0, 0.99),
+                "n_list": st.lists(st.integers(1, 64), min_size=1, max_size=4, unique=True).map(sorted),
+                "grid_n": count,
+                "tol": st.sampled_from([1e-8, 1e-6]),
+            },
+        )
+    )
+    fam = doc["family"]
+    owners = (doc, fam, fam["profile"], fam.get("potential", {}))
+    places = [(owner, key) for owner in owners for key in owner]
+    broken = draw(st.sampled_from(range(-1, len(places))))  # -1 leaves the document valid
+    if broken >= 0:
+        owner, key = places[broken]
+        owner[key] = draw(_JSON)
     return doc
 
 
@@ -87,11 +152,31 @@ class TestConfigValidation:
                 )
             ),
             ("bounds", {"command_options": {"n_max": 10, "m_params": {"n": "x"}}}, "m_params.n"),
+            *(
+                ("check", scalar_config({"kind": "linear"}, **{key: value}), key)
+                for key, value in (
+                    ("T", "abc"),
+                    ("grid_n", "x"),
+                    ("n_list", "abc"),
+                    ("n_list", None),
+                    ("dim", "x"),
+                    ("T", float("nan")),
+                    ("T", float("inf")),
+                    ("grid_n", 8.7),
+                )
+            ),
+            ("check", scalar_config({"kind": "linear", "c": "x"}), "c"),
+            (
+                "semigroup",
+                scalar_config({"kind": "linear"}, n_list=[1], command_options={"N": True}),
+                "option N",
+            ),
         ],
         ids=[
             "alpha", "N_zero", "N_text", "N_negative", "slope_tolerance_text", "z_gamma",
             "onestep_factor_negative", "onestep_factor_above_one", "sandwich_exponent_negative",
-            "m_params_n_text",
+            "m_params_n_text", "T_text", "grid_n_text", "n_list_text", "n_list_null", "dim_text",
+            "T_nan", "T_infinity", "grid_n_fraction", "profile_c_text", "N_true",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, command, doc, named):
@@ -100,6 +185,14 @@ class TestConfigValidation:
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(doc=config_docs())
+    def test_fuzzed_documents_raise_only_config_error(self, doc):
+        try:
+            build_problem(parse_config(doc))
+        except errors.ConfigError:
+            pass
 
     def test_missing_config_file(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.json")]) == 64
@@ -193,6 +286,14 @@ class TestSemigroupCommand:
         assert report["max_gap"] <= 1e-10
         assert report["onestep"]["ok"] is True
         assert report["sandwich"]["ok"] is True
+
+    def test_empty_tau_lists(self, tmp_path):
+        doc = fixture_config("semigroup_scalar", onestep_tau_factors=[], sandwich_tau_exponents=[])
+        cfg = write_config(tmp_path / "c.json", doc)
+        out = tmp_path / "o"
+        assert main(["semigroup", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert report["onestep"]["per_tau"] == [] and report["onestep"]["ok"] is True
 
     def test_indivisible_grid(self, tmp_path):
         doc = scalar_config(
@@ -311,18 +412,6 @@ class TestCliSurface:
         assert main(["semigroup", "--config", cfg, "--out", str(tmp_path / "o")]) == 70
         err = capsys.readouterr().err
         assert "grid_n" in err and "32" in err
-        assert "Traceback" not in err
-
-    def test_quadrature_depth_exit_code(self, tmp_path, capsys, monkeypatch):
-        # no command calls adaptive_simpson; a stand-in grid builder raises its depth error
-        def unresolvable_grid(*args):
-            return adaptive_simpson(lambda x: (x > 1.0 / 3.0) * 1.0, 0.0, 1.0, 1e-15, max_depth=2)
-
-        monkeypatch.setattr(cli_harness, "reference_grid", unresolvable_grid)
-        cfg = write_config(tmp_path / "c.json", scalar_config({"kind": "linear", "c": 1.0}))
-        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "o")]) == 70
-        err = capsys.readouterr().err
-        assert "depth" in err
         assert "Traceback" not in err
 
     def test_runtime_loads_no_scipy(self, tmp_path):

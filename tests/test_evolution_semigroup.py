@@ -8,21 +8,6 @@ from trotterbench import errors, reference_oracle
 from trotterbench.evolution_semigroup import defect_decay_slope
 
 
-class TestSlottedFunction:
-    def test_norm_formula(self):
-        f = tb.SlottedFunction(2.0, np.array([[3.0], [4.0]]))
-        assert f.norm() == pytest.approx(math.sqrt(25.0))
-
-    def test_apply_bounded_by_block_norm(self):
-        rng = np.random.default_rng(1)
-        blocks = np.zeros((6, 3, 3))
-        for i in range(2, 6):
-            blocks[i] = rng.normal(size=(3, 3)) * 0.2
-        op = tb.BlockShiftOperator(2, blocks)
-        f = tb.SlottedFunction(1.0, rng.normal(size=(6, 3)))
-        assert op.apply(f).norm() <= tb.block_norm(op) * f.norm() + 1e-12
-
-
 class TestBlockShiftOperator:
     def test_block_norm_basics(self):
         assert tb.block_norm(tb.BlockShiftOperator.identity(4, 2)) == pytest.approx(1.0)
@@ -59,6 +44,23 @@ class TestBlockShiftOperator:
                 (tb.op_norm(blocks[i]) for i in range(min(shift, n_slots), n_slots)), default=0.0
             )
             assert tb.block_norm(op) == per_block
+
+    def test_compose_matches_per_slot_loop(self):
+        # block i of the composition is self.blocks[i] @ other.blocks[i - self.shift]
+        rng = np.random.default_rng(5)
+        for n_slots, dim, s1, s2 in ((8, 3, 0, 0), (8, 3, 2, 3), (16, 2, 5, 1), (6, 1, 3, 3)):
+            ops = []
+            for shift in (s1, s2):
+                blocks = rng.normal(size=(n_slots, dim, dim))
+                blocks[:shift] = 0.0
+                ops.append(tb.BlockShiftOperator(shift, blocks))
+            first, second = ops
+            expected = np.zeros((n_slots, dim, dim))
+            for i in range(s1 + s2, n_slots):
+                expected[i] = first.blocks[i] @ second.blocks[i - s1]
+            composed = first.compose(second)
+            assert composed.shift == s1 + s2
+            assert np.array_equal(composed.blocks, expected)
 
     def test_compose_shift_addition(self, a_scalar, linear_family):
         t2 = tb.build_T(a_scalar, linear_family, 8, 2)
@@ -139,18 +141,16 @@ class TestBuilders:
             assert tb.block_norm(tb.build_T(a_op, fam, 16, k)) <= 1.0
 
     def test_U_evo_zero_shift_identity(self, a_scalar, linear_family):
-        op = tb.build_U_evo(a_scalar, linear_family, 4, 0, 1e-10)
+        refs = tb.reference_grid(a_scalar, linear_family, 4, 1e-10)
+        op = tb.build_U_evo(a_scalar, linear_family, 4, 0, refs)
         assert op.shift == 0
         assert np.array_equal(op.blocks, np.ones((4, 1, 1)))
 
     def test_U_evo_zero_family_is_U0(self, a_scalar, zero_family):
         refs = tb.reference_grid(a_scalar, zero_family, 8, 1e-10)
         u0 = tb.build_U0(a_scalar, 8, 3, 1.0)
-        for u in (
-            tb.build_U_evo(a_scalar, zero_family, 8, 3, 1e-10),
-            tb.build_U_evo(a_scalar, zero_family, 8, 3, references=refs),
-        ):
-            assert np.abs(u.blocks - u0.blocks).max() <= 1e-12
+        u = tb.build_U_evo(a_scalar, zero_family, 8, 3, refs)
+        assert np.abs(u.blocks - u0.blocks).max() <= 1e-12
 
     def test_U_evo_semigroup_law(self, a_scalar, linear_family):
         tol = 1e-10
@@ -160,7 +160,8 @@ class TestBuilders:
         u12 = tb.build_U_evo(a_scalar, linear_family, 16, 8, references=refs)
         # blocks of one grid obey the cocycle up to round-off
         assert tb.block_norm(u1.compose(u2) - u12) <= 1e-12
-        fresh = tb.build_U_evo(a_scalar, linear_family, 16, 8, tol)
+        fresh_refs = tb.reference_grid(a_scalar, linear_family, 16, tol)
+        fresh = tb.build_U_evo(a_scalar, linear_family, 16, 8, fresh_refs)
         assert np.array_equal(fresh.blocks, u12.blocks)
 
     def test_U_evo_contractive(self, heat_pair):
@@ -170,10 +171,18 @@ class TestBuilders:
             u = tb.build_U_evo(a_op, fam, 8, k, references=refs)
             assert tb.block_norm(u) <= 1.0 + 1e-12
 
+    @pytest.mark.parametrize("grid_n", [4, 16])
+    def test_U_evo_rejects_other_grid_size(self, a_scalar, linear_family, grid_n):
+        # a 16-interval grid once gave 8-slot blocks over 3/16, not 3/8
+        refs = tb.reference_grid(a_scalar, linear_family, grid_n, 1e-10)
+        with pytest.raises(errors.GridMismatchError, match=f"8 slots.*got {grid_n} intervals"):
+            tb.build_U_evo(a_scalar, linear_family, 8, 3, refs)
+
 
 class TestCorrespondence:
     def test_zero_family(self, a_scalar, zero_family):
-        res = tb.correspondence_check(a_scalar, zero_family, 8, 2, 1e-10)
+        refs = tb.reference_grid(a_scalar, zero_family, 8, 1e-10)
+        res = tb.correspondence_check(a_scalar, zero_family, 8, 2, refs)
         assert res.semigroup_error <= 1e-12
         assert res.propagator_error <= 1e-12
         assert res.gap <= 1e-12
@@ -181,12 +190,13 @@ class TestCorrespondence:
     def test_single_step_constant_commuting(self):
         a_op = tb.diagonalize(np.diag([1.0, 2.0]), role=tb.GENERATOR_ROLE)
         fam = tb.make_synthetic_matrix_family(np.diag([0.5, 0.3]), np.eye(2), "power", 1.0, c=0.0)
-        res = tb.correspondence_check(a_op, fam, 8, 1, 1e-10)
+        res = tb.correspondence_check(a_op, fam, 8, 1, tb.reference_grid(a_op, fam, 8, 1e-10))
         assert res.semigroup_error <= 5e-10
         assert res.gap <= 1e-10
 
     def test_scalar_linear_gap(self, a_scalar, linear_family):
-        res = tb.correspondence_check(a_scalar, linear_family, 8, 2, 1e-8)
+        refs = tb.reference_grid(a_scalar, linear_family, 8, 1e-8)
+        res = tb.correspondence_check(a_scalar, linear_family, 8, 2, refs)
         assert res.gap <= 1e-10
         assert res.propagator_error > 1e-3  # genuinely nonzero comparison
 
@@ -195,19 +205,21 @@ class TestCorrespondence:
         a_op, fam = heat_pair
         refs = tb.reference_grid(a_op, fam, 16, 1e-6)
         for n in (2, 4, 8):
-            res = tb.correspondence_check(a_op, fam, 16, n, references=refs)
+            res = tb.correspondence_check(a_op, fam, 16, n, refs)
             assert res.gap == 0.0
             assert res.propagator_error > 1e-3
 
     def test_indivisible_grid(self, a_scalar, linear_family):
+        refs = tb.reference_grid(a_scalar, linear_family, 8, 1e-8)
         with pytest.raises(errors.IndivisibleGridError):
-            tb.correspondence_check(a_scalar, linear_family, 8, 3, 1e-8)
+            tb.correspondence_check(a_scalar, linear_family, 8, 3, refs)
 
     def test_defect_series_decays_at_declared_rate(self, a_scalar, weier_family):
-        series = tb.semigroup_defect_series(a_scalar, weier_family, 16, [2, 4, 8], 1e-8)
+        refs = tb.reference_grid(a_scalar, weier_family, 16, 1e-8)
+        series = tb.semigroup_defect_series(a_scalar, weier_family, 16, [2, 4, 8], refs)
         assert defect_decay_slope(series) >= weier_family.declared_beta - 0.2
         series_rev = tb.semigroup_defect_series(
-            a_scalar, weier_family, 16, [2, 4, 8], 1e-8, reversed_product=True
+            a_scalar, weier_family, 16, [2, 4, 8], refs, reversed_product=True
         )
         assert defect_decay_slope(series_rev) >= weier_family.declared_beta - 0.2
 
@@ -296,15 +308,15 @@ class TestPowerSmoothing:
 
 class TestSmoothingConstant:
     def test_scalar_bounded_and_stable(self, a_scalar, linear_family):
-        rep = tb.measure_smoothing_constant(a_scalar, linear_family, 16, 0.5, tol=1e-9)
+        fine = tb.reference_grid(a_scalar, linear_family, 32, 1e-9)
+        rep = tb.measure_smoothing_constant(a_scalar, linear_family, 16, 0.5, fine)
         assert np.isfinite(rep.lambda_left) and np.isfinite(rep.lambda_right)
         assert rep.stable
 
     def test_heat_both_sides(self, heat_pair):
         a_op, fam = heat_pair
-        rep = tb.measure_smoothing_constant(
-            a_op, fam, 8, 0.8, shifts=[1, 2, 4], tol=1e-7
-        )
+        fine = tb.reference_grid(a_op, fam, 16, 1e-7)
+        rep = tb.measure_smoothing_constant(a_op, fam, 8, 0.8, fine, shifts=[1, 2, 4])
         assert rep.lambda_left < 20.0 and rep.lambda_right < 20.0
         assert rep.stable
 
@@ -319,8 +331,9 @@ class TestSmoothingConstant:
             return refine(*args)
 
         monkeypatch.setattr(reference_oracle, "refine_to_tol", counted)
-        shared = tb.measure_smoothing_constant(a_op, fam, 8, 0.8, tol=1e-7, references=fine)
+        shared = tb.measure_smoothing_constant(a_op, fam, 8, 0.8, fine)
         assert calls == []
-        # omitted, the same 2N-slot grid is built: one refinement per fine interval
-        assert tb.measure_smoothing_constant(a_op, fam, 8, 0.8, tol=1e-7) == shared
+        # a freshly built 2N-slot grid costs one refinement per fine interval
+        fresh = tb.reference_grid(a_op, fam, 16, 1e-7)
+        assert tb.measure_smoothing_constant(a_op, fam, 8, 0.8, fresh) == shared
         assert len(calls) == 16

@@ -169,6 +169,14 @@ class TestEstimateCAlpha:
         # |I * A^{-1/2}| = largest of l^{-1/2} = 1
         assert tb.estimate_c_alpha(fam, a_diag14, 0.5, 8) == pytest.approx(1.0)
 
+    def test_stack_matches_per_node_loop(self, heat_pair, synth_pair):
+        # one norm of the stacked samples is the maximum over the grid nodes
+        for a_op, fam in (heat_pair, synth_pair):
+            a_neg = a_op.frac_power(-0.4)
+            ts = np.linspace(0.0, fam.horizon, 17)
+            per_node = max(tb.op_norm(fam.sample(t) @ a_neg) for t in ts)
+            assert tb.estimate_c_alpha(fam, a_op, 0.4, 16) == per_node
+
     def test_monotone_in_alpha(self, heat_pair, synth_pair):
         for a_op, fam in (heat_pair, synth_pair):
             alphas = [0.0, 0.2, 0.4, 0.6, 0.8]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.integrate import quad
 
 import trotterbench as tb
 from trotterbench import errors, reference_oracle
@@ -20,22 +21,26 @@ def weier_integral(profile, a, b):
     return profile.c * total
 
 
-class TestAdaptiveSimpson:
-    def test_polynomial(self):
-        assert tb.adaptive_simpson(lambda x: x ** 3, 0.0, 2.0) == pytest.approx(4.0, abs=1e-12)
-
-    def test_empty_interval(self):
-        assert tb.adaptive_simpson(np.sin, 0.3, 0.3) == 0.0
-
-    def test_oscillatory_against_closed_form(self, weier_family):
+class TestProfileIntegral:
+    def test_weierstrass_against_term_sum(self, weier_family):
         prof = weier_family.profile
-        for (a, b) in ((0.0, 1.0), (0.0, 0.3), (0.125, 0.875)):
-            got = tb.adaptive_simpson(prof, a, b, tol=1e-12, initial_panels=prof.suggested_panels)
-            assert got == pytest.approx(weier_integral(prof, a, b), abs=1e-10)
+        for (a, b) in ((0.0, 1.0), (0.0, 0.3), (0.125, 0.875), (0.4, 0.4)):
+            assert prof.integral(a, b) == pytest.approx(weier_integral(prof, a, b), abs=1e-14)
 
-    def test_endpoint_singularity(self):
-        got = tb.adaptive_simpson(lambda x: np.sqrt(x), 0.0, 1.0, tol=1e-11)
-        assert got == pytest.approx(2.0 / 3.0, abs=1e-9)
+    @pytest.mark.parametrize(
+        "prof",
+        [
+            tb.ScalarProfile("power", c=1.3, beta=0.5),
+            tb.ScalarProfile("power", c=0.7, beta=0.05),
+            tb.ScalarProfile("linear", c=2.0),
+            tb.ScalarProfile("weierstrass", c=1.0, beta=0.5, terms=6, horizon=2.0),
+        ],
+        ids=["sqrt", "rough_power", "linear", "weierstrass"],
+    )
+    def test_against_scipy_quad(self, prof):
+        for (a, b) in ((0.0, prof.horizon), (0.1, 0.35), (0.5, 0.5)):
+            expected, _ = quad(prof, a, b, epsabs=1e-13, epsrel=1e-13, limit=200)
+            assert prof.integral(a, b) == pytest.approx(expected, abs=1e-13)
 
 
 class TestAnalyticCommuting:
