@@ -47,26 +47,22 @@ def beta_sum_bound(n: int, alpha: float, gamma: float) -> BetaSumCheck:
     return BetaSumCheck(lhs, rhs, lhs <= rhs * (1.0 + 1e-12))
 
 
-def beta_sum_scan(
-    n_max: int = 2000,
-    alphas=None,
-    gammas=None,
-) -> list[tuple[int, float, float, float, float, bool]]:
+# Exponent grid of the Beta-sum scan, for both alpha and gamma.
+SCAN_EXPONENTS = np.round(np.arange(10) * 0.1, 10)
+
+
+def beta_sum_scan(n_max: int = 2000) -> list[tuple[int, float, float, float, float, bool]]:
     """Vectorised scan of :func:`beta_sum_bound` over (n, alpha, gamma).
 
-    Covers n = 2..n_max and all grid pairs with gamma >= alpha; rows come
-    back sorted by (n, alpha, gamma).  The inner sums for all n at once are
-    one discrete convolution per exponent pair.
+    Covers n = 2..n_max and all pairs from ``SCAN_EXPONENTS`` with
+    gamma >= alpha; rows come back sorted by (n, alpha, gamma).  The inner
+    sums for all n at once are one discrete convolution per exponent pair.
     """
-    if alphas is None:
-        alphas = np.round(np.arange(10) * 0.1, 10)
-    if gammas is None:
-        gammas = np.round(np.arange(10) * 0.1, 10)
     ns = np.arange(2, n_max + 1)
     per_pair = {}
-    for alpha in alphas:
+    for alpha in SCAN_EXPONENTS:
         a_seq = np.arange(1, n_max, dtype=float) ** (-alpha)
-        for gamma in gammas:
+        for gamma in SCAN_EXPONENTS:
             if gamma < alpha:
                 continue
             g_seq = np.arange(1, n_max, dtype=float) ** (-gamma)

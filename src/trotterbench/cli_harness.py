@@ -16,8 +16,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,23 +69,9 @@ EXIT_NUMERIC = 70
 
 GAP_TOLERANCE = 1e-10
 
-_TOP_KEYS = {"family", "dim", "T", "alpha", "n_list", "grid_n", "tol", "command_options"}
-_FAMILY_KEYS = {
-    "scalar": {"kind", "profile"},
-    "synthetic": {"kind", "b0", "b1", "profile", "declared_alpha", "a"},
-    "heat1d": {"kind", "modes", "potential", "profile", "declared_alpha"},
-}
-_PROFILE_KEYS = {"kind", "c", "beta", "terms"}
-_POTENTIAL_KEYS = {"kind", "value"}
+DESK_DIM = 256  # desk scale: dim, heat1d modes and synthetic matrix sizes
 _DEFAULT_N_LIST = [2, 4, 8, 16, 32, 64, 128, 256]
-
-
-def _require_keys(obj: dict, allowed: set, what: str) -> None:
-    if not isinstance(obj, dict):
-        raise errors.ConfigError(f"{what} must be a JSON object")
-    unknown = set(obj) - allowed
-    if unknown:
-        raise errors.ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+_REQUIRED = object()
 
 
 def _number(name: str, value, kind):
@@ -100,151 +87,163 @@ def _number(name: str, value, kind):
     return out
 
 
-def _numbers(name: str, value, kind) -> list:
-    if not isinstance(value, list):
-        raise errors.ConfigError(f"{name} must be a JSON list, got {value!r}")
-    return [_number(name, v, kind) for v in value]
+def _cast(name: str, value, kind):
+    """``value`` as ``kind``: ``int``, ``float``, ``str``, ``dict`` or ``[kind]``, a JSON list."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise errors.ConfigError(f"{name} must be a JSON list, got {reprlib.repr(value)}")
+        return [_cast(name, v, kind[0]) for v in value]
+    if kind is str or kind is dict:
+        if not isinstance(value, kind):
+            what = "string" if kind is str else "object"
+            raise errors.ConfigError(f"{name} must be a JSON {what}, got {reprlib.repr(value)}")
+        return value
+    return _number(name, value, kind)
+
+
+class _Keys:
+    """One JSON object whose keys are each read once by ``take``; ``close`` rejects the rest."""
+
+    def __init__(self, obj, what: str, prefix: str = ""):
+        self.left = dict(_cast(what, obj, dict))
+        self.what, self.prefix = what, prefix
+
+    def take(self, key: str, kind, default=_REQUIRED, valid=None, rule: str = ""):
+        """``key`` cast to ``kind`` and checked by ``valid``; a ``None`` default stays ``None``."""
+        value = self.left.pop(key, default)
+        if value is _REQUIRED:
+            raise errors.ConfigError(f"{self.what} is missing key {key!r}")
+        if value is None and default is None:
+            return None
+        value = _cast(self.prefix + key, value, kind)
+        if valid is not None and not valid(value):
+            raise errors.ConfigError(f"{self.prefix}{key} {rule}, got {reprlib.repr(value)}")
+        return value
+
+    def close(self) -> None:
+        if self.left:
+            raise errors.ConfigError(f"unknown {self.what} keys: {sorted(self.left)}")
+
+
+# (valid, rule) pairs for ``_Keys.take``
+_DESK_SIZE = (lambda v: 1 <= v <= DESK_DIM, f"must be in [1, {DESK_DIM}]")
+_DESK_MATRIX = (
+    lambda m: 1 <= len(m) <= DESK_DIM and all(len(row) == len(m) for row in m),
+    f"must be a square matrix of size 1 to {DESK_DIM}",
+)
+
+
+@dataclass(frozen=True)
+class FamilySpec:
+    """A parsed ``family`` object: its kind, its constructor's arguments, a synthetic ``a``."""
+
+    kind: str
+    args: dict
+    a: list | None = None
 
 
 @dataclass
 class ExperimentConfig:
-    family_spec: dict | None
+    family_spec: FamilySpec | None
     dim: int | None
     horizon: float
     alpha: float
     n_list: list[int]
     grid_n: int
     tol: float
-    command_options: dict = field(default_factory=dict)
+    command_options: dict
+
+
+def _parse_family(fam: _Keys, alpha: float) -> FamilySpec:
+    kinds = ("scalar", "synthetic", "heat1d")
+    kind = fam.take("kind", str, valid=kinds.__contains__, rule=f"must be one of {sorted(kinds)}")
+    prof = _Keys(fam.take("profile", dict), "profile", "profile ")
+    args = {
+        "kind": prof.take("kind", str),
+        "c": prof.take("c", float, 1.0),
+        "beta": prof.take("beta", float, 0.5),
+        "terms": prof.take("terms", int, 12),
+    }
+    prof.close()
+    a = None
+    if kind != "scalar":
+        args["declared_alpha"] = fam.take(
+            "declared_alpha", float, 0.75 if kind == "heat1d" else alpha
+        )
+    if kind == "synthetic":
+        args["b0"] = fam.take("b0", [[float]], _REQUIRED, *_DESK_MATRIX)
+        args["b1"] = fam.take("b1", [[float]], _REQUIRED, *_DESK_MATRIX)
+        a = fam.take("a", [[float]], None, *_DESK_MATRIX)
+    elif kind == "heat1d":
+        args["modes"] = fam.take("modes", int, _REQUIRED, *_DESK_SIZE)
+        pot = _Keys(fam.take("potential", dict, {}), "potential", "potential ")
+        value = pot.take("value", float, 1.0)
+        potentials = {
+            "sin_squared": sin_squared_potential,
+            "constant": constant_potential(value),
+            "zero": zero_potential,
+        }
+        pot_kind = pot.take(
+            "kind", str, "sin_squared", potentials.__contains__,
+            f"must be one of {sorted(potentials)}",
+        )
+        pot.close()
+        args["potential"] = potentials[pot_kind]
+    fam.close()
+    return FamilySpec(kind, args, a)
 
 
 def parse_config(doc: dict) -> ExperimentConfig:
-    """Validate the raw JSON document; unknown keys anywhere are an error."""
-    _require_keys(doc, _TOP_KEYS, "config")
-    family_spec = doc.get("family")
-    if family_spec is not None:
-        _require_keys(family_spec, {"kind"} | set().union(*_FAMILY_KEYS.values()), "family")
-        kind = family_spec.get("kind")
-        if not isinstance(kind, str) or kind not in _FAMILY_KEYS:
-            raise errors.ConfigError(f"family kind must be one of {sorted(_FAMILY_KEYS)}")
-        _require_keys(family_spec, _FAMILY_KEYS[kind], "family")
-        profile = family_spec.get("profile")
-        if profile is None:
-            raise errors.ConfigError("family needs a profile")
-        _require_keys(profile, _PROFILE_KEYS, "profile")
-        if kind == "heat1d":
-            _require_keys(family_spec.get("potential", {}), _POTENTIAL_KEYS, "potential")
-    horizon = _number("T", doc.get("T", 1.0), float)
-    alpha = _number("alpha", doc.get("alpha", 0.0), float)
-    n_list = _numbers("n_list", doc.get("n_list", _DEFAULT_N_LIST), int)
-    grid_n = _number("grid_n", doc.get("grid_n", 8), int)
-    tol = _number("tol", doc.get("tol", 1e-10), float)
-    if horizon <= 0.0:
-        raise errors.ConfigError("T must be positive")
-    if not 0.0 <= alpha < 1.0:
-        raise errors.ConfigError("alpha must lie in [0, 1)")
-    if any(n < 1 for n in n_list) or any(b <= a for a, b in zip(n_list, n_list[1:])):
-        raise errors.ConfigError("n_list must be strictly increasing positive integers")
-    if not n_list:
-        raise errors.ConfigError("n_list must be nonempty")
-    if grid_n < 2:
-        raise errors.ConfigError("grid_n must be >= 2")
-    if not 1e-12 <= tol <= 1e-6:
-        raise errors.ConfigError("tol must lie in [1e-12, 1e-6]")
-    options = doc.get("command_options", {})
-    if not isinstance(options, dict):
-        raise errors.ConfigError("command_options must be a JSON object")
-    dim = doc.get("dim")
-    return ExperimentConfig(
-        family_spec=family_spec,
-        dim=None if dim is None else _number("dim", dim, int),
-        horizon=horizon,
+    """Read the raw JSON document into typed values; a missing, bad or unknown key is an error."""
+    top = _Keys(doc, "config")
+    alpha = top.take("alpha", float, 0.0, lambda v: 0.0 <= v < 1.0, "must lie in [0, 1)")
+    family = top.take("family", dict, None)
+    cfg = ExperimentConfig(
+        family_spec=None if family is None else _parse_family(_Keys(family, "family", "family "), alpha),
+        dim=top.take("dim", int, None, *_DESK_SIZE),
+        horizon=top.take("T", float, 1.0, lambda v: v > 0.0, "must be positive"),
         alpha=alpha,
-        n_list=n_list,
-        grid_n=grid_n,
-        tol=tol,
-        command_options=options,
+        n_list=top.take(
+            "n_list", [int], _DEFAULT_N_LIST,
+            lambda ns: ns and ns[0] >= 1 and all(a < b for a, b in zip(ns, ns[1:])),
+            "must be a nonempty, strictly increasing list of positive integers",
+        ),
+        grid_n=top.take("grid_n", int, 8, lambda v: v >= 2, "must be >= 2"),
+        tol=top.take(
+            "tol", float, 1e-10, lambda v: 1e-12 <= v <= 1e-6, "must lie in [1e-12, 1e-6]"
+        ),
+        command_options=top.take("command_options", dict, {}),
     )
-
-
-def _build_profile_args(profile: dict) -> dict:
-    return {
-        "kind": profile.get("kind"),
-        "c": _number("profile c", profile.get("c", 1.0), float),
-        "beta": _number("profile beta", profile.get("beta", 0.5), float),
-        "terms": _number("profile terms", profile.get("terms", 12), int),
-    }
+    top.close()
+    return cfg
 
 
 def build_problem(cfg: ExperimentConfig) -> tuple[SpectralOperator, TimeDependentFamily]:
     """Instantiate the operator pair (A, B(.)) described by the config."""
-    if cfg.family_spec is None:
-        raise errors.ConfigError("this command needs a family")
     spec = cfg.family_spec
-    kind = spec["kind"]
-    prof = _build_profile_args(spec["profile"])
-    alpha_default = 0.75 if kind == "heat1d" else cfg.alpha
-    declared_alpha = _number("declared_alpha", spec.get("declared_alpha", alpha_default), float)
+    if spec is None:
+        raise errors.ConfigError("this command needs a family")
     try:
-        if kind == "scalar":
-            family = make_scalar_family(horizon=cfg.horizon, **prof)
+        if spec.kind == "scalar":
+            family = make_scalar_family(horizon=cfg.horizon, **spec.args)
             a_op = scalar_operator(1.0)
-        elif kind == "synthetic":
-            family = make_synthetic_matrix_family(
-                np.asarray(spec["b0"], dtype=float),
-                np.asarray(spec["b1"], dtype=float),
-                horizon=cfg.horizon,
-                declared_alpha=declared_alpha,
-                **prof,
-            )
-            if "a" in spec:
-                a_op = diagonalize(np.asarray(spec["a"], dtype=float), role=GENERATOR_ROLE)
-            else:
+        elif spec.kind == "synthetic":
+            family = make_synthetic_matrix_family(horizon=cfg.horizon, **spec.args)
+            if spec.a is None:
                 a_op = SpectralOperator(
                     np.ones(family.dim), np.eye(family.dim), role=GENERATOR_ROLE
                 )
-        else:
-            pot_spec = spec.get("potential", {"kind": "sin_squared"})
-            pot_kind = pot_spec.get("kind", "sin_squared")
-            if pot_kind == "sin_squared":
-                potential = sin_squared_potential
-            elif pot_kind == "constant":
-                value = _number("potential value", pot_spec.get("value", 1.0), float)
-                potential = constant_potential(value)
-            elif pot_kind == "zero":
-                potential = zero_potential
             else:
-                raise errors.ConfigError(f"unknown potential kind {pot_kind!r}")
-            a_op, family = make_heat1d_family(
-                _number("modes", spec.get("modes"), int),
-                potential,
-                horizon=cfg.horizon,
-                declared_alpha=declared_alpha,
-                **prof,
-            )
-    except errors.ConfigError:
-        raise
-    except (errors.TrotterbenchError, ValueError, KeyError, TypeError, OverflowError) as exc:
+                a_op = diagonalize(np.asarray(spec.a), role=GENERATOR_ROLE)
+        else:
+            a_op, family = make_heat1d_family(horizon=cfg.horizon, **spec.args)
+    except (errors.TrotterbenchError, ValueError, OverflowError) as exc:
         raise errors.ConfigError(f"bad family spec: {exc}") from exc
     if cfg.dim is not None and cfg.dim != family.dim:
         raise errors.ConfigError(f"config dim {cfg.dim} != family dim {family.dim}")
     if a_op.dim != family.dim:
         raise errors.ConfigError("operator and family dimensions differ")
     return a_op, family
-
-
-def _jsonable(value):
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, (np.bool_, bool)):
-        return bool(value)
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
 
 
 def _fmt(x) -> str:
@@ -256,24 +255,6 @@ def _fmt(x) -> str:
     return repr(float(x))
 
 
-def _option(options: dict, key: str, default, valid=None):
-    """Option ``key`` cast to its default's type and checked by ``valid``, per item for lists."""
-    items = isinstance(default, list)
-    kind = type(default[0] if items else default)
-    value = (_numbers if items else _number)(f"option {key}", options.get(key, default), kind)
-    if valid is not None and not all(map(valid, value if items else [value])):
-        raise errors.ConfigError(f"option {key} out of range: {value!r}")
-    return value
-
-
-def _params(options: dict, key: str, defaults: dict) -> dict:
-    """Nested command parameters, each cast to the type of its default and named ``key.k``."""
-    given = options.get(key, {})
-    _require_keys(given, set(defaults), key)
-    named = {f"{key}.{k}": v for k, v in given.items()}
-    return {k: _option(named, f"{key}.{k}", v) for k, v in defaults.items()}
-
-
 def _evaluate(key: str, fn, *args, **kwargs):
     """``fn(*args, **kwargs)``, with a rejected argument reported against option ``key``."""
     try:
@@ -282,9 +263,9 @@ def _evaluate(key: str, fn, *args, **kwargs):
         raise errors.ConfigError(f"{key}: {exc}") from exc
 
 
-def run_check(cfg: ExperimentConfig) -> tuple[dict, int]:
+def run_check(cfg: ExperimentConfig) -> tuple[dict, None, int]:
     """Assumption check: measured boundedness and Hoelder constants."""
-    _require_keys(cfg.command_options, set(), "check options")
+    _Keys(cfg.command_options, "check options", "option ").close()
     a_op, family = build_problem(cfg)
     grid_n = max(cfg.grid_n, 8)
     report = estimate_holder(family, a_op, cfg.alpha, grid_n)
@@ -309,15 +290,16 @@ def run_check(cfg: ExperimentConfig) -> tuple[dict, int]:
         "declared_beta": family.declared_beta,
         "flags": flags,
     }
-    return out, EXIT_OK if flags["beta_gt_2alpha_minus_1"] else EXIT_CONDITION
+    return out, None, EXIT_OK if flags["beta_gt_2alpha_minus_1"] else EXIT_CONDITION
 
 
 def run_converge(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
     """Convergence sweep: sup-errors per n for both product variants."""
-    _require_keys(cfg.command_options, {"slope_tolerance"}, "converge options")
+    opts = _Keys(cfg.command_options, "converge options", "option ")
+    slope_tol = opts.take("slope_tolerance", float, 0.2)
+    opts.close()
     if len(cfg.n_list) < 4:
         raise errors.ConfigError("converge needs n_list with at least 4 entries")
-    slope_tol = _option(cfg.command_options, "slope_tolerance", 0.2)
     a_op, family = build_problem(cfg)
     refs = reference_grid(a_op, family, cfg.grid_n, cfg.tol)
     rows = []
@@ -360,23 +342,30 @@ def run_converge(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
     return report, csv_lines, EXIT_OK if ok else EXIT_SLOPE
 
 
-def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
+def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, None, int]:
     """Slotted-space verification: correspondence identity and defect bounds."""
-    allowed = {"N", "gamma", "onestep_tau_factors", "sandwich_tau_exponents", "stability_n"}
-    _require_keys(cfg.command_options, allowed, "semigroup options")
-    opts = cfg.command_options
-    a_op, family = build_problem(cfg)
-    n_slots = _option(opts, "N", 16, lambda v: v >= 1)
-    gamma = _option(
-        opts, "gamma", 0.5 * (cfg.alpha + 1.0), lambda v: family.declared_alpha <= v < 1.0
+    opts = _Keys(cfg.command_options, "semigroup options", "option ")
+    n_slots = opts.take("N", int, 16, lambda v: v >= 1, "must be >= 1")
+    # scalar families declare alpha 0; without a family, build_problem below stops the run
+    alpha0 = cfg.family_spec.args.get("declared_alpha", 0.0) if cfg.family_spec else 0.0
+    gamma = opts.take(
+        "gamma", float, 0.5 * (cfg.alpha + 1.0), lambda v: alpha0 <= v < 1.0,
+        f"must lie in [{alpha0}, 1)",
     )
+    onestep_factors = opts.take(
+        "onestep_tau_factors", [float], [1e-1, 1e-2, 1e-3, 1e-4],
+        lambda fs: all(0.0 < f <= 1.0 for f in fs), "must lie in (0, 1]",
+    )
+    sandwich_exps = opts.take(
+        "sandwich_tau_exponents", [int], list(range(2, 9)),
+        lambda es: all(e >= 0 for e in es), "must be >= 0",
+    )
+    n_stab = opts.take("stability_n", int, max(cfg.n_list), lambda v: v >= 1, "must be >= 1")
+    opts.close()
     for n in cfg.n_list:
         if n_slots % n != 0:
             raise errors.IndivisibleGridError(f"N={n_slots} not divisible by n={n}")
-    onestep_factors = _option(
-        opts, "onestep_tau_factors", [1e-1, 1e-2, 1e-3, 1e-4], lambda f: 0.0 < f <= 1.0
-    )
-    sandwich_exps = _option(opts, "sandwich_tau_exponents", list(range(2, 9)), lambda e: e >= 0)
+    a_op, family = build_problem(cfg)
     onestep_taus = [f * family.horizon for f in onestep_factors]
     sandwich_taus = [2.0 ** (-e) * family.horizon for e in sandwich_exps]
 
@@ -403,7 +392,6 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
         a_op, family, gamma, beta, sandwich_taus, grid_n=cfg.grid_n, oracle_tol=cfg.tol
     )
     smoothing = measure_smoothing_constant(a_op, family, n_slots, gamma, fine_refs)
-    n_stab = _option(opts, "stability_n", max(cfg.n_list), lambda v: v >= 1)
     stability = check_power_smoothing(a_op, family, gamma, n_stab, n_slots)
     # the sandwich check's C_gamma is the plain grid maximum of |B(t) A^-gamma|
     n0 = stability_step_threshold(
@@ -458,14 +446,25 @@ def run_semigroup(cfg: ExperimentConfig) -> tuple[dict, int]:
         "defect_slope_reversed": defect_decay_slope(defects_rev),
     }
     ok = max_gap <= GAP_TOLERANCE and onestep.ok and sandwich.ok
-    return report, EXIT_OK if ok else EXIT_FAILED
+    return report, None, EXIT_OK if ok else EXIT_FAILED
 
 
 def run_bounds(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
     """Scalar bound scan plus spot evaluations of the explicit constants."""
-    allowed = {"n_max", "z_params", "m_params", "n0_params"}
-    _require_keys(cfg.command_options, allowed, "bounds options")
-    n_max = _option(cfg.command_options, "n_max", 2000, lambda v: v >= 2)
+    opts = _Keys(cfg.command_options, "bounds options", "option ")
+    n_max = opts.take("n_max", int, 2000, lambda v: v >= 2, "must be >= 2")
+    defaults = {
+        "z_params": {"gamma": 0.5, "beta": 0.5, "c": 1.0, "l": 0.0},
+        "m_params": {"c0": 5.0, "c1": 0.0, "c2": 0.5, "n": 10, "gamma": 0.5, "alpha": 0.25},
+        "n0_params": {"gamma": 0.5, "c": 0.5, "lambda": 1.0},
+    }
+    params = {}
+    for key, default in defaults.items():
+        given = _Keys(opts.take(key, dict, {}), key, f"option {key}.")
+        params[key] = {k: given.take(k, type(d), d) for k, d in default.items()}
+        given.close()
+    opts.close()
+    z_args, m_args, n0_args = params.values()
     rows = beta_sum_scan(n_max)
     csv_lines = ["n,alpha,gamma,lhs,rhs,holds"]
     all_hold = True
@@ -475,13 +474,9 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
             f"{n},{_fmt(alpha)},{_fmt(gamma)},{_fmt(lhs)},{_fmt(rhs)},{_fmt(holds)}"
         )
 
-    opts = cfg.command_options
-    z_args = _params(opts, "z_params", {"gamma": 0.5, "beta": 0.5, "c": 1.0, "l": 0.0})
     z_value = _evaluate(
         "z_params", sandwiched_defect_constant, *z_args.values(), cfg.horizon
     )
-    m_defaults = {"c0": 5.0, "c1": 0.0, "c2": 0.5, "n": 10, "gamma": 0.5, "alpha": 0.25}
-    m_args = _params(opts, "m_params", m_defaults)
     try:
         m_value = _evaluate("m_params", solve_stability_constant, **m_args)
         m_status = "ok"
@@ -489,7 +484,6 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
         m_value, m_status = None, "feasibility_violated"
     except errors.InfeasibleError:
         m_value, m_status = None, "infeasible"
-    n0_args = _params(opts, "n0_params", {"gamma": 0.5, "c": 0.5, "lambda": 1.0})
     n0_value = _evaluate(
         "n0_params", stability_step_threshold, n0_args["gamma"], n0_args["c"], cfg.horizon,
         lambda_gamma=n0_args["lambda"],
@@ -506,17 +500,24 @@ def run_bounds(cfg: ExperimentConfig) -> tuple[dict, list[str], int]:
     return report, csv_lines, EXIT_OK if all_hold else EXIT_FAILED
 
 
+# Each command returns (report, csv_lines or None, exit code).
+COMMANDS = {
+    "check": run_check, "converge": run_converge, "semigroup": run_semigroup, "bounds": run_bounds
+}
+
+
 def _write_outputs(
     out_dir: Path, report: dict, csv_lines: list[str] | None, to_stdout: bool
 ) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = json.dumps(_jsonable(report), sort_keys=True, indent=2)
+    # numpy scalars that are not Python numbers are written as their Python value
+    text = json.dumps(report, sort_keys=True, indent=2, default=lambda v: v.item())
     (out_dir / "report.json").write_text(text + "\n", encoding="utf-8")
     if csv_lines is not None:
         with open(out_dir / "table.csv", "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(csv_lines) + "\n")
     if to_stdout:
-        print(json.dumps(_jsonable(report), sort_keys=True))
+        print(json.dumps(report, sort_keys=True, default=lambda v: v.item()))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -524,7 +525,7 @@ def main(argv: list[str] | None = None) -> int:
         prog="trotterbench",
         description="Split-product convergence experiments for non-autonomous problems",
     )
-    parser.add_argument("command", choices=["check", "converge", "semigroup", "bounds"])
+    parser.add_argument("command", choices=list(COMMANDS))
     parser.add_argument("--config", required=True, help="path to the JSON experiment config")
     parser.add_argument("--out", default=".", help="output directory (report.json, table.csv)")
     parser.add_argument("--stdout", action="store_true", help="also print the report JSON to stdout")
@@ -540,16 +541,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
     try:
         doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        cfg = parse_config(doc)
-        csv_lines = None
-        if args.command == "check":
-            report, code = run_check(cfg)
-        elif args.command == "converge":
-            report, csv_lines, code = run_converge(cfg)
-        elif args.command == "semigroup":
-            report, code = run_semigroup(cfg)
-        else:
-            report, csv_lines, code = run_bounds(cfg)
+        report, csv_lines, code = COMMANDS[args.command](parse_config(doc))
     except (errors.ConfigError, json.JSONDecodeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

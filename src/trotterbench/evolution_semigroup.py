@@ -33,6 +33,15 @@ from .reference_oracle import ReferenceGrid, even_points, refine_to_tol
 from .trotter_products import step_G, trotter_left
 from .bounds_and_rates import sandwiched_defect_constant
 
+# A measured ratio passes its explicit bound up to this relative slack.
+BOUND_SLACK = 1e-6
+# Smoothing constants are stable when doubling the slot grid moves them by
+# at most this much: evolution operators, then split-step powers.
+SMOOTHING_DOUBLING_TOLERANCE = 0.10
+POWER_DOUBLING_TOLERANCE = 0.20
+# Time grid of the max-ratio Hoelder seminorm in the sandwich bound.
+HOLDER_GRID_N = 128
+
 
 @dataclass(frozen=True)
 class BlockShiftOperator:
@@ -279,10 +288,8 @@ def measure_smoothing_constant(
     n_slots: int,
     gamma: float,
     references: ReferenceGrid,
-    shifts: list[int] | None = None,
-    doubling_tolerance: float = 0.10,
 ) -> SmoothingReport:
-    """Measure the evolution smoothing constant on a dyadic shift grid.
+    """Measure the evolution smoothing constant on the dyadic shifts below ``n_slots``.
 
     The quantity ``tau^gamma * block_norm(A^gamma U_evo(tau))`` (and its
     right-sided mirror) is bounded for parabolic problems; the measured
@@ -290,8 +297,7 @@ def measure_smoothing_constant(
     Stability is probed on 2N slots at the same taus, from ``references``:
     the 2N-slot :func:`reference_grid`.
     """
-    if shifts is None:
-        shifts = [k for k in (1, 2, 4, 8, 16, 32) if k < n_slots]
+    shifts = [k for k in (1, 2, 4, 8, 16, 32) if k < n_slots]
     a_pow = a_op.frac_power(gamma)
 
     def measure(slots: int, ks: list[int], refs) -> tuple[list, list]:
@@ -317,7 +323,7 @@ def measure_smoothing_constant(
         per_tau_left=left,
         per_tau_right=right,
         doubling_rel_change=rel,
-        stable=rel <= doubling_tolerance,
+        stable=rel <= SMOOTHING_DOUBLING_TOLERANCE,
     )
 
 
@@ -371,7 +377,6 @@ def check_onestep_linear_bound(
     tau_grid: list[float],
     grid_n: int = 8,
     oracle_tol: float = 1e-10,
-    slack: float = 1e-6,
 ) -> OneStepReport:
     """One-sided smoothing defect ``A^-g (split step - U)`` versus 2 C_g tau.
 
@@ -396,7 +401,7 @@ def check_onestep_linear_bound(
         c_gamma=c_hat,
         max_ratio=max_ratio,
         per_tau=per_tau,
-        ok=max_ratio <= 1.0 + slack,
+        ok=max_ratio <= 1.0 + BOUND_SLACK,
     )
 
 
@@ -422,9 +427,7 @@ def check_sandwiched_defect(
     beta: float,
     tau_grid: list[float],
     grid_n: int = 8,
-    holder_grid_n: int = 128,
     oracle_tol: float = 1e-10,
-    slack: float = 1e-6,
 ) -> SandwichReport:
     """Doubly sandwiched one-step defect versus the explicit power bound.
 
@@ -436,7 +439,7 @@ def check_sandwiched_defect(
     a_neg, c_hat = _onestep_setup(a_op, family, gamma, grid_n)
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta!r}")
-    l_plus = holder_seminorm(family, a_op, gamma, beta, holder_grid_n)
+    l_plus = holder_seminorm(family, a_op, gamma, beta, HOLDER_GRID_N)
     z = sandwiched_defect_constant(gamma, beta, c_hat, l_plus, family.horizon)
     kappa = min(gamma, beta)
     def lhs_and_bound(tau, d):
@@ -454,7 +457,7 @@ def check_sandwiched_defect(
         bound_constant=z,
         max_ratio=max_ratio,
         per_tau=per_tau,
-        ok=max_ratio <= 1.0 + slack,
+        ok=max_ratio <= 1.0 + BOUND_SLACK,
     )
 
 
@@ -480,14 +483,12 @@ def check_power_smoothing(
     gamma: float,
     n: int,
     n_slots: int,
-    doubling_tolerance: float = 0.20,
-    slack: float = 1e-6,
 ) -> PowerSmoothingReport:
     """Walk the split-step powers and measure the smoothing constant.
 
     S(m) = (m tau)^gamma * block_norm(A^gamma T(tau)^m) for m = 1..n with
     tau = T/n.  The maximum is the measured stability constant; it must stay
-    finite, move by at most ``doubling_tolerance`` when the slot grid doubles,
+    finite, move by at most ``POWER_DOUBLING_TOLERANCE`` when the slot grid doubles,
     and dominate the interpolated bound at sigma = gamma/2 via operator
     monotonicity (Heinz): (m tau)^s |A^s T^m| <= M^(s/g).
     """
@@ -526,10 +527,10 @@ def check_power_smoothing(
         s_values=s_gamma,
         m_hat_doubled=m_hat2,
         doubling_rel_change=rel,
-        stable=rel <= doubling_tolerance,
+        stable=rel <= POWER_DOUBLING_TOLERANCE,
         interpolation_sigma=sigma,
         interpolation_max_ratio=interp_ratio,
-        interpolation_ok=interp_ratio <= 1.0 + slack,
+        interpolation_ok=interp_ratio <= 1.0 + BOUND_SLACK,
     )
 
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -41,6 +46,18 @@ def fixture_config(name, **options):
     return doc
 
 
+def family_config(**family):
+    """A config holding only a family with a linear profile and the given keys."""
+    return {"family": {"profile": {"kind": "linear"}, **family}}
+
+
+# The keys each family kind accepts
+FAMILY_KEYS = {
+    "scalar": {"kind", "profile"},
+    "synthetic": {"kind", "b0", "b1", "profile", "declared_alpha", "a"},
+    "heat1d": {"kind", "modes", "potential", "profile", "declared_alpha"},
+}
+
 # Arbitrary JSON, kept small
 _JSON = st.recursive(
     st.one_of(
@@ -66,7 +83,7 @@ def config_docs(draw):
     """
     count, real = st.integers(0, 8), st.floats(0.0, 1.0)
     matrix = st.lists(st.lists(real, min_size=1, max_size=3), min_size=1, max_size=3)
-    kind = draw(st.sampled_from(sorted(cli_harness._FAMILY_KEYS)))
+    kind = draw(st.sampled_from(sorted(FAMILY_KEYS)))
     profile = st.fixed_dictionaries(
         {"kind": st.sampled_from(["power", "linear", "weierstrass"])},
         optional={"c": real, "beta": real, "terms": count},
@@ -80,7 +97,7 @@ def config_docs(draw):
     }
     family = st.fixed_dictionaries(
         {"kind": st.just(kind), "profile": profile},
-        optional={k: v for k, v in family_fields.items() if k in cli_harness._FAMILY_KEYS[kind]},
+        optional={k: v for k, v in family_fields.items() if k in FAMILY_KEYS[kind]},
     )
     doc = draw(
         st.fixed_dictionaries(
@@ -171,17 +188,32 @@ class TestConfigValidation:
                 scalar_config({"kind": "linear"}, n_list=[1], command_options={"N": True}),
                 "option N",
             ),
+            ("check", family_config(kind="synthetic", b1=[[1.0]]), "missing key 'b0'"),
+            ("check", family_config(kind="heat1d"), "missing key 'modes'"),
+            ("check", family_config(kind="heat1d", modes=100000), "modes"),
+            ("check", family_config(kind="scalar", modes=3), "modes"),
+            (
+                "check",
+                family_config(kind="synthetic", b0=np.eye(257).tolist(), b1=np.eye(257).tolist()),
+                "b0",
+            ),
+            ("check", scalar_config({"c": 1.0}), "missing key 'kind'"),
+            ("bounds", {"dim": 257, "command_options": {"n_max": 10}}, "dim"),
         ],
         ids=[
             "alpha", "N_zero", "N_text", "N_negative", "slope_tolerance_text", "z_gamma",
             "onestep_factor_negative", "onestep_factor_above_one", "sandwich_exponent_negative",
             "m_params_n_text", "T_text", "grid_n_text", "n_list_text", "n_list_null", "dim_text",
             "T_nan", "T_infinity", "grid_n_fraction", "profile_c_text", "N_true",
+            "synthetic_without_b0", "heat1d_without_modes", "modes_above_cap", "scalar_with_modes",
+            "synthetic_above_cap", "profile_without_kind", "dim_above_cap",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, command, doc, named):
         cfg = write_config(tmp_path / "c.json", doc)
+        start = time.perf_counter()
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+        assert time.perf_counter() - start < 1.0  # rejected before any large allocation
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
@@ -193,6 +225,18 @@ class TestConfigValidation:
             build_problem(parse_config(doc))
         except errors.ConfigError:
             pass
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(doc=config_docs(), command=st.sampled_from(list(cli_harness.COMMANDS)))
+    def test_fuzzed_cli_runs_exit_cleanly(self, doc, command):
+        doc["command_options"] = {"n_max": 16} if command == "bounds" else {}  # a small scan
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as out:
+            cfg = write_config(Path(out) / "c.json", doc)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([command, "--config", cfg, "--out", out])
+        assert code in {0, 1, 2, 3, 64, 65, 70}
+        assert "Traceback" not in err.getvalue()
 
     def test_missing_config_file(self, tmp_path):
         assert main(["check", "--config", str(tmp_path / "nope.json")]) == 64
@@ -433,6 +477,16 @@ class TestCliSurface:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_numpy_scalars_written_as_json_values(self, tmp_path, capsys):
+        report = {"flag": np.bool_(True), "count": np.int64(3), "value": np.float64(0.1)}
+        cli_harness._write_outputs(tmp_path, report, None, True)
+        stdout = capsys.readouterr().out
+        for text in ((tmp_path / "report.json").read_text(encoding="utf-8"), stdout):
+            written = json.loads(text)
+            assert written == {"flag": True, "count": 3, "value": 0.1}
+            types = {k: type(v) for k, v in written.items()}
+            assert types == {"flag": bool, "count": int, "value": float}
 
     def test_threads_flag_accepted(self, tmp_path):
         doc = {"T": 1.0, "command_options": {"n_max": 10}}

@@ -316,7 +316,7 @@ class TestSmoothingConstant:
     def test_heat_both_sides(self, heat_pair):
         a_op, fam = heat_pair
         fine = tb.reference_grid(a_op, fam, 16, 1e-7)
-        rep = tb.measure_smoothing_constant(a_op, fam, 8, 0.8, fine, shifts=[1, 2, 4])
+        rep = tb.measure_smoothing_constant(a_op, fam, 8, 0.8, fine)
         assert rep.lambda_left < 20.0 and rep.lambda_right < 20.0
         assert rep.stable
 
