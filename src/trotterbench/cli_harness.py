@@ -31,6 +31,7 @@ from .operator_core import (
     scalar_operator,
 )
 from .problem_families import (
+    MAX_TERMS,
     TimeDependentFamily,
     constant_potential,
     estimate_holder,
@@ -162,7 +163,9 @@ def _parse_family(fam: _Keys, alpha: float) -> FamilySpec:
         "kind": prof.take("kind", str),
         "c": prof.take("c", float, 1.0),
         "beta": prof.take("beta", float, 0.5),
-        "terms": prof.take("terms", int, 12),
+        "terms": prof.take(
+            "terms", int, 12, lambda v: 0 <= v <= MAX_TERMS, f"must be in [0, {MAX_TERMS}]"
+        ),
     }
     prof.close()
     a = None

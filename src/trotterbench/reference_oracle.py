@@ -16,14 +16,13 @@ import numpy as np
 
 from . import errors
 from .operator_core import SpectralOperator, op_norm
-from .problem_families import TimeDependentFamily
+from .problem_families import TimeDependentFamily, block_len
 from .trotter_products import Propagator, _check_interval
 
 # Step-halving refinement gives up beyond this many midpoint steps.
 REFINEMENT_CAP = 2 ** 20
 TOLERANCE_FLOOR = 1e-12  # finest step-halving tolerance resolvable in double precision
 _START_STEPS = 16
-_CHUNK = 8192
 
 # References U(t_j, t_i) on a uniform grid, keyed by the index pair (i, j), i < j.
 ReferenceGrid = dict[tuple[int, int], np.ndarray]
@@ -63,19 +62,29 @@ def _midpoint_matrix(
         b_vals = family.sample_batch(mids)[:, 0, 0]
         exponent = -(t - s) * a_op.eigenvalues[0] - h * float(np.sum(b_vals))
         return np.array([[math.exp(exponent)]])
-    a_mat = a_op.to_matrix()
-    u = np.eye(a_op.dim)
-    for start in range(0, steps, _CHUNK):
-        chunk = mids[start : start + _CHUNK]
-        cs = family.sample_batch(chunk) + a_mat[None, :, :]
-        lam, q = np.linalg.eigh(cs)
-        mats = (q * np.exp(-h * lam)[:, None, :]) @ np.transpose(q, (0, 2, 1))
-        # time-ordered product mats[-1] @ ... @ mats[0] by pairwise batched matmuls
-        while len(mats) > 1:
-            even = len(mats) - len(mats) % 2
-            mats = np.concatenate([mats[1:even:2] @ mats[0:even:2], mats[even:]])
-        u = mats[0] @ u
-    return u
+    return _ordered_product(a_op.to_matrix(), family, family.weights(mids), h)
+
+
+def _ordered_product(
+    a_mat: np.ndarray, family: TimeDependentFamily, w: np.ndarray, h: float
+) -> np.ndarray:
+    """``E_{m-1} ... E_0`` with ``E_j = exp(-h (A + b_const + w_j b_mod))``.
+
+    Halves the factors until a stack fits one block, then multiplies pairwise
+    with batched matmuls; for a power-of-two count both give the same
+    perfect binary tree, so the result does not depend on the block size.
+    """
+    if len(w) > block_len(8 * a_mat.size):
+        half = len(w) // 2
+        return _ordered_product(a_mat, family, w[half:], h) @ _ordered_product(
+            a_mat, family, w[:half], h
+        )
+    lam, q = np.linalg.eigh(family.samples_at(w) + a_mat[None, :, :])
+    mats = (q * np.exp(-h * lam)[:, None, :]) @ np.transpose(q, (0, 2, 1))
+    while len(mats) > 1:
+        even = len(mats) - len(mats) % 2
+        mats = np.concatenate([mats[1:even:2] @ mats[0:even:2], mats[even:]])
+    return mats[0]
 
 
 def midpoint_exponential(

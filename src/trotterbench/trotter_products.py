@@ -4,7 +4,8 @@ The left product multiplies factors ``e^{-tau A} e^{-tau B(t_j)}`` over the
 left partition nodes ``j = n-1 .. 0`` (latest node leftmost); the right
 variant uses ``e^{-tau B(t_j)} e^{-tau A}`` over the right nodes
 ``j = n .. 1``.  Both are time-ordered products of contractions, accumulated
-by plain matrix multiplication; cost O(n dim^3).
+by plain matrix multiplication; cost O(n dim^3).  The factors are formed in
+stacks of at most ``BLOCK_BYTES``, so memory does not grow with n.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import numpy as np
 
 from . import errors
 from .operator_core import SpectralOperator, op_norm
-from .problem_families import TimeDependentFamily
+from .problem_families import TimeDependentFamily, block_len
 
 CONTRACTIVITY_SLACK = 1e-12
 
@@ -95,9 +96,12 @@ def _split_product(a_op, family, s, t, n, method: str) -> Propagator:
         tau = part.step
         ea = a_op.semigroup(tau)
         right = method == "trotter_right"
-        ebs = family.factors(part.nodes[1:] if right else part.nodes[:-1], tau)
-        for g in (ebs @ ea) if right else (ea @ ebs):
-            v = g @ v
+        w = family.weights(part.nodes[1:] if right else part.nodes[:-1])
+        size = block_len(8 * a_op.dim ** 2)
+        for start in range(0, n, size):
+            ebs = family.factors_at(w[start : start + size], tau)
+            for g in (ebs @ ea) if right else (ea @ ebs):
+                v = g @ v
     return Propagator(v, t=t, s=s, method=method, n_or_steps=n)
 
 

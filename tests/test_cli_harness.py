@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +200,7 @@ class TestConfigValidation:
             ),
             ("check", scalar_config({"c": 1.0}), "missing key 'kind'"),
             ("bounds", {"dim": 257, "command_options": {"n_max": 10}}, "dim"),
+            ("converge", scalar_config({"kind": "weierstrass", "terms": 1100}), "terms"),
         ],
         ids=[
             "alpha", "N_zero", "N_text", "N_negative", "slope_tolerance_text", "z_gamma",
@@ -206,17 +208,20 @@ class TestConfigValidation:
             "m_params_n_text", "T_text", "grid_n_text", "n_list_text", "n_list_null", "dim_text",
             "T_nan", "T_infinity", "grid_n_fraction", "profile_c_text", "N_true",
             "synthetic_without_b0", "heat1d_without_modes", "modes_above_cap", "scalar_with_modes",
-            "synthetic_above_cap", "profile_without_kind", "dim_above_cap",
+            "synthetic_above_cap", "profile_without_kind", "dim_above_cap", "terms_above_cap",
         ],
     )
     def test_bad_value(self, tmp_path, capsys, command, doc, named):
         cfg = write_config(tmp_path / "c.json", doc)
         start = time.perf_counter()
-        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 64
         assert time.perf_counter() - start < 1.0  # rejected before any large allocation
         err = capsys.readouterr().err
         assert named in err
         assert "Traceback" not in err
+        assert not caught
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(doc=config_docs())

@@ -37,6 +37,11 @@ class TestScalarFamilies:
         with pytest.raises(ValueError):
             tb.make_scalar_family("cubic", 1.0)
 
+    @pytest.mark.parametrize("terms", [-1, 53, 1100])
+    def test_terms_outside_cap(self, terms):
+        with pytest.raises(ValueError, match="terms"):
+            tb.make_scalar_family("weierstrass", 1.0, terms=terms)
+
     def test_time_out_of_range(self, linear_family):
         with pytest.raises(errors.TimeOutOfRangeError):
             linear_family.sample(1.5)

@@ -8,7 +8,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 
 import trotterbench as tb
-from trotterbench import errors, reference_oracle
+from trotterbench import errors, problem_families, reference_oracle
 
 
 def weier_integral(profile, a, b):
@@ -161,7 +161,7 @@ def sequential_midpoint(a_op, fam, s, t, steps):
 def test_pairwise_midpoint_product_matches_sequential(monkeypatch, heat_pair, steps, chunk):
     a_op, fam = heat_pair
     if chunk is not None:
-        monkeypatch.setattr(reference_oracle, "_CHUNK", chunk)
+        monkeypatch.setattr(problem_families, "BLOCK_BYTES", chunk * 8 * fam.dim**2)
     got = tb.midpoint_exponential(a_op, fam, 0.125, 0.875, steps).matrix
     assert np.abs(got - sequential_midpoint(a_op, fam, 0.125, 0.875, steps)).max() <= 1e-13
 
