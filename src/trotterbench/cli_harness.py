@@ -31,7 +31,6 @@ from .operator_core import (
     scalar_operator,
 )
 from .problem_families import (
-    MAX_TERMS,
     TimeDependentFamily,
     constant_potential,
     estimate_holder,
@@ -163,9 +162,7 @@ def _parse_family(fam: _Keys, alpha: float) -> FamilySpec:
         "kind": prof.take("kind", str),
         "c": prof.take("c", float, 1.0),
         "beta": prof.take("beta", float, 0.5),
-        "terms": prof.take(
-            "terms", int, 12, lambda v: 0 <= v <= MAX_TERMS, f"must be in [0, {MAX_TERMS}]"
-        ),
+        "terms": prof.take("terms", int, 12),
     }
     prof.close()
     a = None

@@ -62,24 +62,24 @@ def _midpoint_matrix(
         b_vals = family.sample_batch(mids)[:, 0, 0]
         exponent = -(t - s) * a_op.eigenvalues[0] - h * float(np.sum(b_vals))
         return np.array([[math.exp(exponent)]])
-    return _ordered_product(a_op.to_matrix(), family, family.weights(mids), h)
+    return _ordered_product(a_op.to_matrix(), family, mids, h)
 
 
 def _ordered_product(
-    a_mat: np.ndarray, family: TimeDependentFamily, w: np.ndarray, h: float
+    a_mat: np.ndarray, family: TimeDependentFamily, mids: np.ndarray, h: float
 ) -> np.ndarray:
-    """``E_{m-1} ... E_0`` with ``E_j = exp(-h (A + b_const + w_j b_mod))``.
+    """``E_{m-1} ... E_0`` with ``E_j = exp(-h (A + B(mids[j])))``.
 
     Halves the factors until a stack fits one block, then multiplies pairwise
     with batched matmuls; for a power-of-two count both give the same
     perfect binary tree, so the result does not depend on the block size.
     """
-    if len(w) > block_len(8 * a_mat.size):
-        half = len(w) // 2
-        return _ordered_product(a_mat, family, w[half:], h) @ _ordered_product(
-            a_mat, family, w[:half], h
+    if len(mids) > block_len(8 * a_mat.size):
+        half = len(mids) // 2
+        return _ordered_product(a_mat, family, mids[half:], h) @ _ordered_product(
+            a_mat, family, mids[:half], h
         )
-    lam, q = np.linalg.eigh(family.samples_at(w) + a_mat[None, :, :])
+    lam, q = np.linalg.eigh(family.sample_batch(mids) + a_mat[None, :, :])
     mats = (q * np.exp(-h * lam)[:, None, :]) @ np.transpose(q, (0, 2, 1))
     while len(mats) > 1:
         even = len(mats) - len(mats) % 2

@@ -5,7 +5,7 @@ left partition nodes ``j = n-1 .. 0`` (latest node leftmost); the right
 variant uses ``e^{-tau B(t_j)} e^{-tau A}`` over the right nodes
 ``j = n .. 1``.  Both are time-ordered products of contractions, accumulated
 by plain matrix multiplication; cost O(n dim^3).  The factors are formed in
-stacks of at most ``BLOCK_BYTES``, so memory does not grow with n.
+stacks of about ``BLOCK_BYTES`` (four at least), so memory does not grow with n.
 """
 
 from __future__ import annotations
@@ -96,10 +96,11 @@ def _split_product(a_op, family, s, t, n, method: str) -> Propagator:
         tau = part.step
         ea = a_op.semigroup(tau)
         right = method == "trotter_right"
-        w = family.weights(part.nodes[1:] if right else part.nodes[:-1])
-        size = block_len(8 * a_op.dim ** 2)
-        for start in range(0, n, size):
-            ebs = family.factors_at(w[start : start + size], tau)
+        nodes = part.nodes[1:] if right else part.nodes[:-1]
+        # blocks of block_len nodes, the last one taking the remainder (see block_len)
+        edges = [*range(0, max(n - 3, 1), block_len(8 * a_op.dim ** 2)), n]
+        for lo, hi in zip(edges, edges[1:]):
+            ebs = family.factors(nodes[lo:hi], tau)
             for g in (ebs @ ea) if right else (ea @ ebs):
                 v = g @ v
     return Propagator(v, t=t, s=s, method=method, n_or_steps=n)

@@ -32,6 +32,23 @@ def test_traced_names_resolve(layer):
             assert callable(getattr(home, name, None)), f"{layer}.{name}"
 
 
+def test_oracle_samples_through_traced_sampler(monkeypatch, heat_pair):
+    """The tracer counts family reads at ``sample_batch``; the oracle must read every midpoint there."""
+    import trotterbench as tb
+
+    read = []
+    sample_batch = tb.TimeDependentFamily.sample_batch
+
+    def counted(self, ts):
+        read.append(len(ts))
+        return sample_batch(self, ts)
+
+    monkeypatch.setattr(tb.TimeDependentFamily, "sample_batch", counted)
+    a_op, fam = heat_pair
+    tb.midpoint_exponential(a_op, fam, 0.0, 0.5, 1024)
+    assert sum(read) == 1024
+
+
 def _bench_constant(name: str) -> str:
     """A string constant of ``bench/run.py``, read without importing the script."""
     tree = ast.parse((BENCH / "run.py").read_text(encoding="utf-8"))
