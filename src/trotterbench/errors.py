@@ -91,3 +91,15 @@ class ConfigError(TrotterbenchError):
 
 class ToleranceFloorError(TrotterbenchError, ValueError):
     """Requested oracle tolerance lies below the resolvable floor."""
+
+
+class InvalidCountError(TrotterbenchError, ValueError):
+    """Grid, slot, step or power count outside its allowed range."""
+
+
+class BlockShiftError(TrotterbenchError, ValueError):
+    """Block-shift operator malformed, or combined with one it does not fit."""
+
+
+class ExponentRangeError(TrotterbenchError, ValueError):
+    """Smoothing or Hoelder exponent outside the range its bound needs."""

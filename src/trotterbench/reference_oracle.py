@@ -111,6 +111,7 @@ def refine_to_tol(
     s: float,
     t: float,
     tol: float = 1e-10,
+    start_steps: int = _START_STEPS,
 ) -> Propagator:
     """Step-halve the midpoint product until consecutive levels agree.
 
@@ -119,7 +120,16 @@ def refine_to_tol(
     criterion is still unmet at ``REFINEMENT_CAP`` steps.  The a posteriori
     criterion stays valid for Hoelder families where the observed order
     degrades below two.
+
+    The first comparison is ``start_steps`` against ``2 start_steps``.  A start
+    ``_START_STEPS * 2^k`` at most half the level a cold start stops at returns
+    the cold start's matrix bit for bit; a higher one stops at ``2 start_steps``
+    or finer, still within ``tol``.
     """
+    if not 1 <= start_steps <= REFINEMENT_CAP // 2:
+        raise errors.InvalidCountError(
+            f"start_steps must lie in [1, {REFINEMENT_CAP // 2}], got {start_steps!r}"
+        )
     if tol < TOLERANCE_FLOOR:
         raise errors.ToleranceFloorError(
             f"tolerances below {TOLERANCE_FLOOR!r} are not resolvable, got {tol!r}"
@@ -129,7 +139,7 @@ def refine_to_tol(
         return Propagator(
             np.eye(a_op.dim), t=t, s=s, method="reference", n_or_steps=0, error_estimate=0.0
         )
-    m = _START_STEPS
+    m = start_steps
     u_prev = _midpoint_matrix(a_op, family, s, t, m)
     while True:
         m2 = 2 * m
@@ -159,7 +169,7 @@ def reference_grid(
     contractions add, so every entry stays within ``tol``.
     """
     if grid_n < 1:
-        raise ValueError(f"grid_n must be >= 1, got {grid_n!r}")
+        raise errors.InvalidCountError(f"grid_n must be >= 1, got {grid_n!r}")
     step_tol = tol / grid_n
     if step_tol < TOLERANCE_FLOOR:
         raise errors.ToleranceFloorError(

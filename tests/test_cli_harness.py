@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trotterbench import cli_harness, errors, reference_oracle
+from trotterbench import cli_harness, errors, evolution_semigroup, reference_oracle
 from trotterbench.cli_harness import build_problem, main, parse_config
 
 REPO = Path(__file__).resolve().parents[1]
@@ -400,6 +400,69 @@ class TestSemigroupCommand:
         edges = [k / 16 for k in range(17)]
         assert [(s, t) for s, t, _ in calls] == list(zip(edges[:-1], edges[1:]))
         assert all(tol == 1e-8 / 16 for _, _, tol in calls)
+
+    def test_checks_refine_tau_equal_horizon_once(self, tmp_path, monkeypatch):
+        # tau = T leaves one base point, t = 0: each check refines [0, T] once, not grid_n + 1 times
+        def run(label):
+            calls = []
+            refine = evolution_semigroup.refine_to_tol
+
+            def counted(a_op, fam, s, t, tol, **kwargs):
+                calls.append((s, t))
+                return refine(a_op, fam, s, t, tol, **kwargs)
+
+            with monkeypatch.context() as m:
+                m.setattr(evolution_semigroup, "refine_to_tol", counted)
+                doc = fixture_config(
+                    "semigroup_scalar", onestep_tau_factors=[1.0], sandwich_tau_exponents=[0]
+                )
+                cfg, out = write_config(tmp_path / "c.json", doc), tmp_path / label
+                assert main(["semigroup", "--config", cfg, "--out", str(out)]) == 0
+            return calls, json.loads((out / "report.json").read_text(encoding="utf-8"))
+
+        calls, report = run("distinct")
+        assert calls == [(0.0, 1.0), (0.0, 1.0)]
+        # evaluating all grid_n + 1 copies of t = 0 gives the same ratios
+        monkeypatch.setattr(
+            evolution_semigroup, "_onestep_grids",
+            lambda fam, tau, grid_n: np.linspace(0.0, fam.horizon - tau, grid_n + 1),
+        )
+        repeated_calls, repeated = run("repeated")
+        assert len(repeated_calls) == 2 * 9
+        for check in ("onestep", "sandwich"):
+            assert report[check] == repeated[check]
+
+    def test_warm_started_checks_match_cold_start(self, tmp_path, monkeypatch):
+        # on the heat1d fixture, warm starts save eigh matrices, every refinement
+        # stops at its cold-start level, and the report is unchanged
+        def run(label, warm):
+            counts = {"eigh": 0, "steps": []}
+            eigh, refine = np.linalg.eigh, reference_oracle.refine_to_tol
+
+            def counted_eigh(a, *args, **kwargs):
+                counts["eigh"] += int(np.prod(np.shape(a)[:-2]))
+                return eigh(a, *args, **kwargs)
+
+            def counted_refine(a_op, fam, s, t, tol, **kwargs):
+                prop = refine(a_op, fam, s, t, tol, **(kwargs if warm else {}))
+                counts["steps"].append((s, t, prop.n_or_steps))
+                return prop
+
+            with monkeypatch.context() as m:
+                m.setattr(np.linalg, "eigh", counted_eigh)
+                m.setattr(reference_oracle, "refine_to_tol", counted_refine)
+                m.setattr(evolution_semigroup, "refine_to_tol", counted_refine)
+                out = tmp_path / label
+                cfg = str(REPO / "tests" / "configs" / "semigroup_heat1d.json")
+                assert main(["semigroup", "--config", cfg, "--out", str(out)]) == 0
+            return counts, (out / "report.json").read_bytes()
+
+        warm_counts, warm_report = run("warm", warm=True)
+        cold_counts, cold_report = run("cold", warm=False)
+        assert warm_report == cold_report
+        assert len(warm_counts["steps"]) == 131
+        assert warm_counts["steps"] == cold_counts["steps"]
+        assert warm_counts["eigh"] <= 0.95 * cold_counts["eigh"]
 
     def test_zero_family(self, tmp_path):
         doc = scalar_config(

@@ -1,10 +1,11 @@
+import inspect
 import math
 
 import numpy as np
 import pytest
 
 import trotterbench as tb
-from trotterbench import errors, reference_oracle
+from trotterbench import errors, evolution_semigroup, reference_oracle
 from trotterbench.evolution_semigroup import defect_decay_slope
 
 
@@ -337,3 +338,11 @@ class TestSmoothingConstant:
         fresh = tb.reference_grid(a_op, fam, 16, 1e-7)
         assert tb.measure_smoothing_constant(a_op, fam, 8, 0.8, fresh) == shared
         assert len(calls) == 16
+
+
+@pytest.mark.parametrize("module", [evolution_semigroup, reference_oracle])
+def test_raises_only_typed_errors(module):
+    assert "raise ValueError" not in inspect.getsource(module)
+    # the typed errors of bad arguments still satisfy `except ValueError`
+    for exc in (errors.InvalidCountError, errors.BlockShiftError, errors.ExponentRangeError):
+        assert issubclass(exc, errors.TrotterbenchError) and issubclass(exc, ValueError)

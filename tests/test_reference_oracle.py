@@ -147,6 +147,41 @@ class TestRefineToTol:
         with pytest.raises(errors.ToleranceFloorError):
             tb.refine_to_tol(a_scalar, linear_family, 0.0, 1.0, 1e-13)
 
+    @pytest.mark.parametrize(
+        "pair, s, t, tol",
+        [("heat_pair", 0.125, 0.375, 1e-6), ("weier_family", 0.0, 1.0, 1e-10),
+         ("sqrt_family", 0.0, 0.5, 1e-10)],
+    )
+    def test_warm_start_below_needed_level_is_bit_identical(self, request, pair, s, t, tol):
+        a_op, fam = warm_start_case(request, pair)
+        cold = tb.refine_to_tol(a_op, fam, s, t, tol)
+        assert cold.n_or_steps >= 4 * reference_oracle._START_STEPS
+        warm = tb.refine_to_tol(a_op, fam, s, t, tol, start_steps=cold.n_or_steps // 2)
+        assert np.array_equal(warm.matrix, cold.matrix)
+        assert (warm.n_or_steps, warm.error_estimate) == (cold.n_or_steps, cold.error_estimate)
+
+    @pytest.mark.parametrize("pair", ["heat_pair", "weier_family"])
+    def test_warm_start_above_needed_level_stays_within_tol(self, request, pair):
+        a_op, fam = warm_start_case(request, pair)
+        tol = 1e-8
+        cold = tb.refine_to_tol(a_op, fam, 0.25, 0.5, tol)
+        warm = tb.refine_to_tol(a_op, fam, 0.25, 0.5, tol, start_steps=cold.n_or_steps)
+        assert warm.n_or_steps == 2 * cold.n_or_steps
+        assert warm.error_estimate <= tol
+        assert tb.op_norm(warm.matrix - cold.matrix) <= tol
+
+    @pytest.mark.parametrize("start", [0, reference_oracle.REFINEMENT_CAP // 2 + 1])
+    def test_start_steps_out_of_range(self, a_scalar, linear_family, start):
+        with pytest.raises(errors.InvalidCountError, match="start_steps"):
+            tb.refine_to_tol(a_scalar, linear_family, 0.0, 1.0, 1e-8, start_steps=start)
+
+
+def warm_start_case(request, pair):
+    """``(A, family)`` for a heat1d pair fixture or a scalar family fixture."""
+    if pair == "heat_pair":
+        return request.getfixturevalue(pair)
+    return request.getfixturevalue("a_scalar"), request.getfixturevalue(pair)
+
 
 def sequential_midpoint(a_op, fam, s, t, steps):
     h = (t - s) / steps
