@@ -29,7 +29,7 @@ from .problem_families import (
     holder_seminorm,
     loglog_fit,
 )
-from .reference_oracle import _START_STEPS, ReferenceGrid, even_points, refine_to_tol
+from .reference_oracle import ReferenceGrid, WindowStarts, even_points, refine_to_tol
 from .trotter_products import step_G, trotter_left
 from .bounds_and_rates import sandwiched_defect_constant
 
@@ -353,22 +353,15 @@ def _onestep_setup(a_op, family, gamma, grid_n):
 
 
 def _worst_defect_ratios(a_op, family, tau_grid, grid_n, oracle_tol, lhs_and_bound):
-    """Per-tau worst ``lhs / bound`` over base points; bounds at the oracle floor give 0 or inf.
-
-    The base points of one tau cover intervals of equal length, whose
-    refinements mostly stop at the same level or one level apart.  So each
-    refinement starts two levels below where the previous one stopped: a pair
-    that needs at most one level less than its neighbour still stops where a
-    cold start would, with the same matrix bit for bit.
-    """
+    """Per-tau worst ``lhs / bound`` over base points; bounds at the oracle floor give 0 or inf."""
     floor = max(1e-11, 10.0 * oracle_tol)
     per_tau = []
     for tau in tau_grid:
         worst = 0.0
-        start = _START_STEPS
+        starts = WindowStarts()
         for t in _onestep_grids(family, tau, grid_n):
-            ref = refine_to_tol(a_op, family, t, t + tau, oracle_tol, start_steps=start)
-            start = max(_START_STEPS, ref.n_or_steps // 4)
+            ref = refine_to_tol(a_op, family, t, t + tau, oracle_tol, start_steps=starts.steps)
+            starts.record(ref)
             defect = step_G(a_op, family, tau, t) - ref.matrix
             lhs, denom = lhs_and_bound(tau, defect)
             if denom <= floor:

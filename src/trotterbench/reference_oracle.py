@@ -156,6 +156,31 @@ def refine_to_tol(
         m, u_prev = m2, u_next
 
 
+class WindowStarts:
+    """``start_steps`` for :func:`refine_to_tol` over windows of one length, refined in order.
+
+    Windows of one length often need similar levels, so from the third window
+    on each refinement starts two levels below the lower of the last two
+    levels.  A window needing at least half that lower level returns the cold
+    start's matrix bit for bit; one needing less stops finer, still within
+    ``tol``.  One hard window (a profile singular at its left end, say) never
+    raises the next start on its own, and a window that passes its first
+    comparison from a warm start has an unknown level, so the next two
+    windows start cold.
+    """
+
+    def __init__(self) -> None:
+        self.steps = _START_STEPS
+        self._levels: list[int] = []  # 0 marks a level a warm start could not pin down
+
+    def record(self, ref: Propagator) -> None:
+        """Take the result of the window refined with ``start_steps=self.steps``."""
+        pinned = self.steps == _START_STEPS or ref.n_or_steps > 2 * self.steps
+        self._levels.append(ref.n_or_steps if pinned else 0)
+        if len(self._levels) >= 2:
+            self.steps = max(_START_STEPS, min(self._levels[-2:]) // 4)
+
+
 def reference_grid(
     a_op: SpectralOperator,
     family: TimeDependentFamily,

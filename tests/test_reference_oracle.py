@@ -176,6 +176,53 @@ class TestRefineToTol:
             tb.refine_to_tol(a_scalar, linear_family, 0.0, 1.0, 1e-8, start_steps=start)
 
 
+class TestWindowStarts:
+    @staticmethod
+    def offered(levels):
+        """The start offered before each level is recorded, and after the last."""
+        starts, seen = reference_oracle.WindowStarts(), []
+        for level in levels:
+            seen.append(starts.steps)
+            starts.record(
+                tb.Propagator(np.eye(1), t=1.0, s=0.0, method="reference", n_or_steps=level)
+            )
+        return seen + [starts.steps]
+
+    def test_start_two_levels_below_lower_of_last_two(self):
+        # one hard window does not raise the start on its own
+        assert self.offered([4096, 256, 512, 512]) == [16, 16, 64, 64, 128]
+
+    def test_first_comparison_pass_restarts_cold(self):
+        # 512 from a start of 256 passed at once: its level is unknown
+        assert self.offered([1024, 1024, 512, 1024, 1024]) == [16, 16, 256, 16, 16, 256]
+
+    @pytest.mark.parametrize("family", ["sqrt_family", "weier_family"])
+    def test_windows_cost_no_more_than_cold_starts(self, request, monkeypatch, a_scalar, family):
+        # sqrt profile: the window at t = 0 needs 2^16 steps, the others 2^10 to 2^12.
+        # Weierstrass: neighbours up to two levels apart; two windows stop one level finer.
+        fam, tau, tol = request.getfixturevalue(family), 0.25, 1e-9
+        ts = np.linspace(0.0, 1.0 - tau, 9)
+        steps = []
+        midpoint = reference_oracle._midpoint_matrix
+
+        def counted(a_op, f, s, t, m):
+            steps.append(m)
+            return midpoint(a_op, f, s, t, m)
+
+        monkeypatch.setattr(reference_oracle, "_midpoint_matrix", counted)
+        cold = [tb.refine_to_tol(a_scalar, fam, t, t + tau, tol) for t in ts]
+        cold_steps = sum(steps)
+        steps.clear()
+        starts = reference_oracle.WindowStarts()
+        for t, ref in zip(ts, cold):
+            warm = tb.refine_to_tol(a_scalar, fam, t, t + tau, tol, start_steps=starts.steps)
+            starts.record(warm)
+            assert warm.n_or_steps >= ref.n_or_steps
+            assert warm.error_estimate <= tol
+            assert tb.op_norm(warm.matrix - ref.matrix) <= tol
+        assert sum(steps) <= cold_steps
+
+
 def warm_start_case(request, pair):
     """``(A, family)`` for a heat1d pair fixture or a scalar family fixture."""
     if pair == "heat_pair":
