@@ -94,7 +94,7 @@ class ToleranceFloorError(TrotterbenchError, ValueError):
 
 
 class InvalidCountError(TrotterbenchError, ValueError):
-    """Grid, slot, step or power count outside its allowed range."""
+    """Grid, slot, step, mode, term or power count outside its allowed range."""
 
 
 class BlockShiftError(TrotterbenchError, ValueError):
@@ -102,4 +102,20 @@ class BlockShiftError(TrotterbenchError, ValueError):
 
 
 class ExponentRangeError(TrotterbenchError, ValueError):
-    """Smoothing or Hoelder exponent outside the range its bound needs."""
+    """Smoothing, Hoelder or fractional-power exponent outside its allowed range."""
+
+
+class UnknownKindError(TrotterbenchError, ValueError):
+    """Profile kind outside the built-in menu."""
+
+
+class NonPositiveHorizonError(TrotterbenchError, ValueError):
+    """Family built on a time horizon that is not positive."""
+
+
+class ShapeMismatchError(TrotterbenchError, ValueError):
+    """Array shape does not fit the dimension or grid it goes with."""
+
+
+class EigendecompositionError(TrotterbenchError, ValueError):
+    """Eigenpairs with mismatched shapes, unordered eigenvalues or non-orthonormal eigenvectors."""

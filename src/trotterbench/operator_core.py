@@ -64,12 +64,14 @@ class SpectralOperator:
         object.__setattr__(self, "eigenvalues", lam)
         object.__setattr__(self, "eigenvectors", q)
         if lam.ndim != 1 or q.shape != (lam.size, lam.size):
-            raise ValueError("eigendecomposition shape mismatch")
+            raise errors.EigendecompositionError("eigendecomposition shape mismatch")
         if np.any(np.diff(lam) < 0):
-            raise ValueError("eigenvalues must be nondecreasing")
+            raise errors.EigendecompositionError("eigenvalues must be nondecreasing")
         defect = float(np.abs(q.T @ q - np.eye(lam.size)).max())
         if defect > 1e-10:
-            raise ValueError(f"eigenvector matrix not orthonormal (defect {defect:.3e})")
+            raise errors.EigendecompositionError(
+                f"eigenvector matrix not orthonormal (defect {defect:.3e})"
+            )
         if self.role == GENERATOR_ROLE and lam[0] < 1.0 - 1e-10:
             raise errors.SpectrumBelowOneError(
                 f"generator spectrum starts at {lam[0]!r}, below 1"

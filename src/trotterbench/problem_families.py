@@ -39,15 +39,8 @@ BLOCK_BYTES = 1 << 17
 
 
 def block_len(item_bytes: int) -> int:
-    """Items of ``item_bytes`` bytes per block: whole groups of four, at least one group.
-
-    The Weierstrass profile sums its terms with one BLAS ``gemv`` per call.
-    OpenBLAS 0.3.31 with its Haswell kernel, where this was verified, rounds
-    the last ``len % 4`` times of a call, and calls of two or three times,
-    apart from the rest; blocks of whole groups of four, the last block taking
-    the remainder, then give every time the bits of one call over all times.
-    """
-    return max(4, BLOCK_BYTES // item_bytes // 4 * 4)
+    """Items of ``item_bytes`` bytes per block, at least one."""
+    return max(1, BLOCK_BYTES // item_bytes)
 
 
 @dataclass(frozen=True)
@@ -72,13 +65,17 @@ class ScalarProfile:
 
     def __post_init__(self):
         if self.kind not in PROFILE_KINDS:
-            raise ValueError(f"unknown profile kind {self.kind!r}")
+            raise errors.UnknownKindError(f"unknown profile kind {self.kind!r}")
         if self.c < 0.0:
             raise errors.NegativeCoefficientError(f"amplitude must be >= 0, got {self.c!r}")
         if self.kind != "linear" and not 0.0 < self.beta <= 1.0:
-            raise ValueError(f"profile exponent must lie in (0, 1], got {self.beta!r}")
+            raise errors.ExponentRangeError(
+                f"profile exponent must lie in (0, 1], got {self.beta!r}"
+            )
         if not 0 <= self.terms <= MAX_TERMS:
-            raise ValueError(f"terms must lie in [0, {MAX_TERMS}], got {self.terms!r}")
+            raise errors.InvalidCountError(
+                f"terms must lie in [0, {MAX_TERMS}], got {self.terms!r}"
+            )
 
     @property
     def holder_exponent(self) -> float:
@@ -91,10 +88,8 @@ class ScalarProfile:
             return self.c * (t ** p - s ** p) / p
         if self.kind == "linear":
             return self.c * (t * t - s * s) / 2.0
-        k = np.arange(self.terms + 1)
-        omega = 2.0 ** k * (np.pi / self.horizon)
-        parts = (t - s) + (np.sin(omega * t) - np.sin(omega * s)) / omega
-        return self.c * float(2.0 ** (-self.beta * k) @ parts)
+        omega = 2.0 ** np.arange(self.terms + 1) * (np.pi / self.horizon)
+        return float(self._weighted_sum((t - s) + (np.sin(omega * t) - np.sin(omega * s)) / omega))
 
     def __call__(self, t):
         ts = np.asarray(t, dtype=float)
@@ -103,13 +98,23 @@ class ScalarProfile:
         elif self.kind == "linear":
             vals = self.c * ts
         else:
-            k = np.arange(self.terms + 1)
-            weights = 2.0 ** (-self.beta * k)
-            angles = np.multiply.outer(2.0 ** k * (np.pi / self.horizon), ts)
-            vals = self.c * np.tensordot(weights, 1.0 + np.cos(angles), axes=1)
+            omega = 2.0 ** np.arange(self.terms + 1) * (np.pi / self.horizon)
+            vals = self._weighted_sum(1.0 + np.cos(np.multiply.outer(omega, ts)))
         if np.isscalar(t) or ts.ndim == 0:
             return float(vals)
         return vals
+
+    def _weighted_sum(self, rows: np.ndarray):
+        """``c sum_k 2^{-beta k} rows[k]``, adding the scaled rows one by one in k order.
+
+        Elementwise sums round every time alone, whatever array it is in; a dot
+        product or ``sum`` may split an array into partial sums by its length.
+        """
+        k = np.arange(self.terms + 1).reshape(-1, *[1] * (rows.ndim - 1))
+        total, *rest = rows * 2.0 ** (-self.beta * k)
+        for row in rest:
+            total += row
+        return self.c * total
 
 
 @dataclass(frozen=True)
@@ -136,11 +141,13 @@ class TimeDependentFamily:
 
     def __post_init__(self):
         if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+            raise errors.NonPositiveHorizonError("horizon must be positive")
         for name in ("b_const", "b_mod"):
             mat = as_symmetric(getattr(self, name))
             if mat.shape != (self.dim, self.dim):
-                raise ValueError(f"{name} must have shape {(self.dim, self.dim)}, got {mat.shape}")
+                raise errors.ShapeMismatchError(
+                    f"{name} must have shape {(self.dim, self.dim)}, got {mat.shape}"
+                )
             object.__setattr__(self, name, mat)
         if not self.b_const.any():
             object.__setattr__(self, "_mod_eig", np.linalg.eigh(self.b_mod))
@@ -270,14 +277,14 @@ def make_heat1d_family(
     ``B(t) = w(t) G`` is PSD.
     """
     if modes < 1:
-        raise ValueError("modes must be >= 1")
+        raise errors.InvalidCountError("modes must be >= 1")
     lam = np.arange(1, modes + 1, dtype=float) ** 2
     a_op = SpectralOperator(lam, np.eye(modes), role=GENERATOR_ROLE)
 
     x = np.linspace(0.0, np.pi, SIMPSON_NODES)
     v = np.asarray(potential(x), dtype=float)
     if v.shape != x.shape:
-        raise ValueError("potential must map the grid to a same-shaped array")
+        raise errors.ShapeMismatchError("potential must map the grid to a same-shaped array")
     if float(v.min()) < -1e-12:
         raise errors.NegativePotentialError(
             f"potential dips to {v.min()!r}, below -1e-12"
@@ -329,9 +336,9 @@ def estimate_c_alpha(
     whose maxima sit at grid endpoints.  Nonincreasing in alpha.
     """
     if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
+        raise errors.ExponentRangeError(f"alpha must lie in [0, 1), got {alpha!r}")
     if grid_n < 2:
-        raise ValueError("grid_n must be >= 2")
+        raise errors.InvalidCountError("grid_n must be >= 2")
     return op_norm(family.sample_batch(_time_grid(family, grid_n)) @ a_op.frac_power(-alpha))
 
 
@@ -385,7 +392,7 @@ def estimate_holder(
     if grid_n < 8:
         raise errors.DegenerateGridError(f"grid_n must be >= 8, got {grid_n}")
     if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"alpha must lie in [0, 1), got {alpha!r}")
+        raise errors.ExponentRangeError(f"alpha must lie in [0, 1), got {alpha!r}")
     c_hat = estimate_c_alpha(family, a_op, alpha, grid_n)
     norms, gaps = sandwiched_difference_norms(family, a_op, alpha, grid_n)
     base_gap = family.horizon / grid_n

@@ -57,11 +57,15 @@ def _midpoint_matrix(
     if t == s:
         return np.eye(a_op.dim)
     h = (t - s) / steps
-    mids = s + (np.arange(steps) + 0.5) * h
     if a_op.dim == 1:
-        b_vals = family.sample_batch(mids)[:, 0, 0]
-        exponent = -(t - s) * a_op.eigenvalues[0] - h * float(np.sum(b_vals))
-        return np.array([[math.exp(exponent)]])
+        # a block of midpoints holds the profile's (terms + 1) x len table
+        per = block_len(8 * (family.profile.terms + 1))
+        b_sum = 0.0
+        for lo in range(0, steps, per):
+            mids = s + (np.arange(lo, min(lo + per, steps)) + 0.5) * h
+            b_sum += float(np.sum(family.sample_batch(mids)))
+        return np.array([[math.exp(-(t - s) * a_op.eigenvalues[0] - h * b_sum)]])
+    mids = s + (np.arange(steps) + 0.5) * h
     return _ordered_product(a_op.to_matrix(), family, mids, h)
 
 

@@ -4,8 +4,10 @@ The results must not depend on the block size, and memory must not grow
 with the step count.
 """
 
-import functools
+import math
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,9 @@ import pytest
 import trotterbench as tb
 from trotterbench import problem_families
 
-# Factors per block asked for: one, nine and whatever the default block
-# holds; block_len rounds them down to whole groups of four (4, 8, default).
+ROOT = Path(__file__).resolve().parent.parent
+
+# Factors per block: one, nine and whatever the default block holds.
 PER_BLOCK = [1, 9, None]
 
 
@@ -23,36 +26,55 @@ def set_block(monkeypatch, per_block, item_bytes):
         monkeypatch.setattr(problem_families, "BLOCK_BYTES", per_block * item_bytes)
 
 
-def _profile_keeps_bits_in_blocks() -> bool:
-    """Whether the Weierstrass profile gives a time the same bits in blocks of
-    whole groups of four times, the last block taking the remainder, as in one
-    call over all times.  ``block_len`` relies on this; it holds on OpenBLAS
-    0.3.31 with the Haswell kernel, where it was verified.
-    """
-    profile = tb.ScalarProfile("weierstrass", terms=12)
-    ts = np.random.default_rng(11).uniform(0.0, 1.0, 203)
-    for size in (4, 8, 12):
-        edges = [*range(0, len(ts) - 3, size), len(ts)]
-        blocks = [profile(ts[lo:hi]) for lo, hi in zip(edges, edges[1:])]
-        if not np.array_equal(np.concatenate(blocks), profile(ts)):
-            return False
-    return True
-
-
-# Bits where the BLAS keeps them in blocks, else equal to round-off
-assert_same = (
-    np.testing.assert_array_equal
-    if _profile_keeps_bits_in_blocks()
-    else functools.partial(np.testing.assert_allclose, rtol=1e-13, atol=1e-15)
-)
-
-
-def test_block_len_is_whole_groups_of_four(monkeypatch):
+def test_block_len_is_a_plain_division(monkeypatch):
     assert problem_families.block_len(8 * 16**2) == 64
-    assert problem_families.block_len(8 * 33**2) == 12
-    assert problem_families.block_len(8 * 256**2) == 4
+    assert problem_families.block_len(8 * 33**2) == 15
+    assert problem_families.block_len(8 * 256**2) == 1
     monkeypatch.setattr(problem_families, "BLOCK_BYTES", 9 * 8)
-    assert problem_families.block_len(8) == 8
+    assert problem_families.block_len(8) == 9
+
+
+def random_cuts(rng, ts):
+    """``ts`` cut at three random points."""
+    return np.split(ts, np.sort(rng.choice(np.arange(1, ts.size), 3, replace=False)))
+
+
+@pytest.mark.parametrize("terms", [0, 1, 12, 13, 20, 52])
+def test_profile_bits_do_not_depend_on_the_call(terms):
+    """A time gets the same bits alone, in any piece of an array, and in the whole array."""
+    rng = np.random.default_rng(terms)
+    heat = tb.make_heat1d_family(4, tb.sin_squared_potential, 1.0, "weierstrass", terms=terms)[1]
+    synth = tb.make_synthetic_matrix_family(
+        np.diag([1.0, 0.5]), np.array([[1.0, 0.4], [0.4, 0.3]]), "weierstrass", terms=terms
+    )
+    profile = heat.profile
+    for _ in range(50):
+        ts = rng.uniform(0.0, 1.0, rng.integers(4, 120))
+        whole = profile(ts)
+        pieces = [profile(p) for p in random_cuts(rng, ts)]
+        np.testing.assert_array_equal(np.concatenate(pieces), whole)
+        assert [profile(t) for t in ts[:5]] == list(whole[:5])
+    for fam in (heat, synth):
+        for _ in range(10):
+            ts = rng.uniform(0.0, 1.0, rng.integers(4, 60))
+            whole = fam.factors(ts, 0.05)
+            pieces = [fam.factors(p, 0.05) for p in random_cuts(rng, ts)]
+            np.testing.assert_array_equal(np.concatenate(pieces), whole)
+            np.testing.assert_array_equal(fam.factors(ts[:1], 0.05)[0], whole[0])
+
+
+def test_no_kernel_specific_rounding_rule():
+    """No file outside this one names a BLAS kernel or a rounding rule tied to one."""
+    banned = re.compile(r"openblas|haswell|skylake|gemv|gemm|% ?4\b|groups? of four", re.I)
+    files = [*(ROOT / "src").rglob("*.py"), *(ROOT / "tests").glob("*.py"), ROOT / "README.md"]
+    hits = [
+        f"{path.relative_to(ROOT)}:{no}: {line.strip()}"
+        for path in files
+        if path != Path(__file__).resolve()
+        for no, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if banned.search(line)
+    ]
+    assert hits == []
 
 
 def unblocked_product(a_op, fam, s, t, n, right):
@@ -88,7 +110,7 @@ def test_split_products_do_not_depend_on_block_size(monkeypatch, request, pair, 
     for n in (1, 2, 3, 7, 16, 33, 34, 35, 600):
         got = getattr(tb, method)(a_op, fam, 0.125, 0.875, n).matrix
         want = unblocked_product(a_op, fam, 0.125, 0.875, n, method == "trotter_right")
-        assert_same(got, want, err_msg=str(n))
+        np.testing.assert_array_equal(got, want, err_msg=str(n))
 
 
 @pytest.mark.parametrize("per_block", PER_BLOCK)
@@ -97,7 +119,26 @@ def test_midpoint_product_does_not_depend_on_block_size(monkeypatch, heat_pair, 
     set_block(monkeypatch, per_block, 8 * fam.dim**2)
     for steps in (1, 2, 16, 64, 1024):
         got = tb.midpoint_exponential(a_op, fam, 0.125, 0.875, steps).matrix
-        assert_same(got, unblocked_midpoint(a_op, fam, 0.125, 0.875, steps), err_msg=str(steps))
+        want = unblocked_midpoint(a_op, fam, 0.125, 0.875, steps)
+        np.testing.assert_array_equal(got, want, err_msg=str(steps))
+
+
+@pytest.fixture(scope="module")
+def scalar_weier40():
+    return tb.scalar_operator(1.0), tb.make_scalar_family("weierstrass", 1.0, terms=40)
+
+
+@pytest.mark.parametrize("per_block", PER_BLOCK)
+def test_scalar_midpoint_sum_does_not_depend_on_block_size(monkeypatch, scalar_weier40, per_block):
+    """The dim-1 oracle sums its samples block by block; the order moves only round-off."""
+    a_op, fam = scalar_weier40
+    set_block(monkeypatch, per_block, 8 * (fam.profile.terms + 1))
+    for steps in (1, 7, 16, 1024, 4096):
+        h = 0.75 / steps
+        b_sum = np.sum(fam.sample_batch(0.125 + (np.arange(steps) + 0.5) * h))
+        want = math.exp(-0.75 * a_op.eigenvalues[0] - h * b_sum)
+        got = tb.midpoint_exponential(a_op, fam, 0.125, 0.875, steps).matrix[0, 0]
+        assert got == pytest.approx(want, rel=1e-14, abs=0.0), steps
 
 
 def traced_peak_mb(fn) -> float:
@@ -123,3 +164,7 @@ def test_split_product_memory_does_not_grow_with_steps(heat32):
     a_op, fam = heat32
     assert traced_peak_mb(lambda: tb.trotter_left(a_op, fam, 0.0, 1.0, 4096)) < 2.0
 
+
+def test_scalar_midpoint_memory_does_not_grow_with_steps(scalar_weier40):
+    a_op, fam = scalar_weier40
+    assert traced_peak_mb(lambda: tb.midpoint_exponential(a_op, fam, 0.0, 1.0, 2**16)) < 2.0

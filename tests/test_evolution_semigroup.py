@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import trotterbench as tb
-from trotterbench import errors, evolution_semigroup, reference_oracle
+from trotterbench import (
+    errors,
+    evolution_semigroup,
+    operator_core,
+    problem_families,
+    reference_oracle,
+)
 from trotterbench.evolution_semigroup import defect_decay_slope
 
 
@@ -340,6 +346,8 @@ class TestSmoothingConstant:
         assert len(calls) == 16
 
 
-@pytest.mark.parametrize("module", [evolution_semigroup, reference_oracle])
+@pytest.mark.parametrize(
+    "module", [evolution_semigroup, reference_oracle, problem_families, operator_core]
+)
 def test_raises_only_typed_errors(module):
     assert "raise ValueError" not in inspect.getsource(module)
